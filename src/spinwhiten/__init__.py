@@ -10,7 +10,6 @@ transform — measured against conventional acquisition with signal averaging.
 from .ensemble import (
     QubitDensity,
     SpinEnsemble,
-    SpinState,
     dephase,
     gz_whiten,
     pulse90,
@@ -68,7 +67,6 @@ __all__ = [
     "Spectrum",
     "SpinBudget",
     "SpinEnsemble",
-    "SpinState",
     "StateVector",
     "apply_circuit",
     "apply_gate",

@@ -74,7 +74,11 @@ def load_config(path: Path | None) -> CliConfig:
         if not sep:
             raise click.UsageError(f"malformed config line: {raw!r}")
         if key in ("max_qubits", "default_ensemble_size", "master_seed"):
-            setattr(cfg, key, int(value))
+            try:
+                setattr(cfg, key, int(value))
+            except ValueError as exc:
+                raise click.UsageError(
+                    f"config key {key!r} needs an integer, got {value!r}") from exc
         elif key == "output_format":
             cfg.output_format = value
         elif key == "out_path":
@@ -109,7 +113,8 @@ def main(ctx: click.Context, config_path: Path | None):
 @main.command("run")
 @click.argument("program_path", type=str)
 @click.option("--seed", type=int, default=None, help="Master seed (config default).")
-@click.option("--ensemble-size", type=int, default=None, help="Target spin count.")
+@click.option("--ensemble-size", type=click.IntRange(min=1), default=None,
+              help="Target spin count.")
 @click.option("--out", "out_path", type=str, default=None, help="Report file path.")
 @click.option("--format", "output_format", type=click.Choice(["json", "csv"]),
               default=None, help="Report format (config default).")

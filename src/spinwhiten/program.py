@@ -323,7 +323,7 @@ def execute(
     registers: dict[str, StateVector] = {}
     receiver: dict[str, dict[str, float]] = {}
     stages: list[StageLog] = []
-    last_gammas: np.ndarray | None = None
+    last_gamma: float | None = None
     active_register: str | None = None
     acquire_index = 0
     report = RunReport(
@@ -350,16 +350,15 @@ def execute(
             ens = ensembles[stmt.target]
             if stmt.seed is not None:
                 ens = with_seed(ens, stmt.seed)
-            ens, last_gammas = gz_whiten(ens)
+            ens, last_gamma = gz_whiten(ens)
             ensembles[stmt.target] = ens
             after = abs(receiver_signal(ens))
             receiver.setdefault(stmt.target, {})["after_whiten"] = after
             detail = f"target {stmt.target}, |receiver|={after:.17g}"
         elif isinstance(stmt, Encode):
-            gamma = float(last_gammas[0])
-            registers[stmt.register] = phase_encode(gamma, stmt.qubits, max_qubits)
+            registers[stmt.register] = phase_encode(last_gamma, stmt.qubits, max_qubits)
             active_register = stmt.register
-            detail = f"register {stmt.register}, qubits {stmt.qubits}, gamma={gamma:.17g}"
+            detail = f"register {stmt.register}, qubits {stmt.qubits}, gamma={last_gamma:.17g}"
         elif isinstance(stmt, (Qft, Iqft)):
             inverse = isinstance(stmt, Iqft)
             state = registers[stmt.register]

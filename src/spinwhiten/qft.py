@@ -22,6 +22,7 @@ from .statevector import (
     Circuit,
     GateOp,
     StateVector,
+    apply_circuit_block,
     probabilities,
 )
 
@@ -144,8 +145,6 @@ def concentration_sweep(
     (gammas, argmax indices, peak probabilities). This is the empirical probe
     of how sharply a randomized phase concentrates onto one basis state.
     """
-    from .statevector import _apply_gate_inplace  # batched kernel, same layout
-
     if grid_points < 2:
         raise ValueError(f"grid must have at least 2 points, got {grid_points}")
     circuit = qft_circuit(QftSpec(n, inverse=True))
@@ -156,8 +155,7 @@ def concentration_sweep(
     peaks = np.empty(grid_points, dtype=np.float64)
     for start in range(0, grid_points, chunk_rows):
         block = phase_encode_block(gammas[start : start + chunk_rows], n)
-        for gate in circuit.gates:
-            _apply_gate_inplace(block, n, gate)
+        apply_circuit_block(block, circuit)
         probs = block.real * block.real + block.imag * block.imag
         argmax[start : start + chunk_rows] = probs.argmax(axis=1)
         peaks[start : start + chunk_rows] = probs.max(axis=1)

@@ -143,19 +143,6 @@ def new_state(n: int, basis_index: int = 0, max_qubits: int = DEFAULT_MAX_QUBITS
     return StateVector(n, amps)
 
 
-def state_from_amplitudes(n: int, amps: np.ndarray) -> StateVector:
-    """Wrap an amplitude array, validating length, finiteness and norm."""
-    amps = np.asarray(amps, dtype=np.complex128)
-    if amps.shape != (1 << n,):
-        raise IndexOutOfRange(f"expected {1 << n} amplitudes, got {amps.shape}")
-    if not np.all(np.isfinite(amps.view(np.float64))):
-        raise ValueError("amplitudes must be finite")
-    norm = np.linalg.norm(amps)
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"state norm {norm} deviates from 1 beyond 1e-9")
-    return StateVector(n, amps)
-
-
 # --- in-place kernels over a (batch, 2**n) amplitude block ------------------
 #
 # Each kernel reshapes the block so the acted-on qubits become their own axes
@@ -206,29 +193,26 @@ def _swap_inplace(block: np.ndarray, n: int, q1: int, q2: int) -> None:
     view[:, :, 1, :, 0, :] = tmp
 
 
-def _apply_gate_inplace(block: np.ndarray, n: int, gate: GateOp) -> None:
-    for q in gate.qubits:
-        if q >= n:
-            raise InvalidQubitIndex(
-                f"gate {gate.kind.value} uses qubit {q} on an {n}-qubit state"
-            )
-    if gate.kind is GateKind.HADAMARD:
-        _hadamard_inplace(block, n, gate.qubits[0])
-    elif gate.kind is GateKind.PHASE_SHIFT:
-        _phase_inplace(block, n, gate.qubits[0], gate.phase())
-    elif gate.kind is GateKind.CONTROLLED_PHASE:
-        _controlled_phase_inplace(block, n, *gate.qubits, gate.phase())
-    else:
-        _swap_inplace(block, n, *gate.qubits)
-
-
 # --- public operations -------------------------------------------------------
+
+def apply_circuit_block(block: np.ndarray, circuit: Circuit) -> None:
+    """Apply a circuit's gates in list order, in place, to every row of a
+    (batch, 2**n) amplitude block; the one gate path of every register op."""
+    n = circuit.num_qubits
+    for gate in circuit.gates:
+        if gate.kind is GateKind.HADAMARD:
+            _hadamard_inplace(block, n, gate.qubits[0])
+        elif gate.kind is GateKind.PHASE_SHIFT:
+            _phase_inplace(block, n, gate.qubits[0], gate.phase())
+        elif gate.kind is GateKind.CONTROLLED_PHASE:
+            _controlled_phase_inplace(block, n, *gate.qubits, gate.phase())
+        else:
+            _swap_inplace(block, n, *gate.qubits)
+
 
 def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     """Apply one gate, returning a new state; the input is left untouched."""
-    out = state.copy()
-    _apply_gate_inplace(out.amps[np.newaxis, :], out.num_qubits, gate)
-    return out
+    return apply_circuit(state, Circuit(state.num_qubits, (gate,)))
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
@@ -238,9 +222,7 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
             f"circuit has {circuit.num_qubits} qubits, state has {state.num_qubits}"
         )
     out = state.copy()
-    block = out.amps[np.newaxis, :]
-    for gate in circuit.gates:
-        _apply_gate_inplace(block, out.num_qubits, gate)
+    apply_circuit_block(out.amps[np.newaxis, :], circuit)
     return out
 
 
@@ -264,6 +246,5 @@ def dense_matrix(circuit: Circuit) -> np.ndarray:
     # Row b of the block is the basis state |b>; after the sweep, row b holds
     # the amplitudes of U|b>, i.e. the block is U transposed.
     block = np.eye(1 << n, dtype=np.complex128)
-    for gate in circuit.gates:
-        _apply_gate_inplace(block, n, gate)
+    apply_circuit_block(block, circuit)
     return block.T.copy()

@@ -33,8 +33,8 @@ def ks_statistic(samples: np.ndarray) -> float:
     return float(max(np.max(ranks / n - ordered), np.max(ordered - (ranks - 1) / n)))
 
 
-def explicit_receiver_signal(transverse: np.ndarray, phase: np.ndarray) -> complex:
-    """(1/M) * sum over transverse spins of exp(i*phi): np.cos/np.sin per
-    spin, summed with math.fsum (correctly rounded), normalized by all M."""
-    selected = np.asarray(phase, dtype=np.float64)[np.asarray(transverse, dtype=bool)]
-    return complex(math.fsum(np.cos(selected)), math.fsum(np.sin(selected))) / len(phase)
+def explicit_receiver_signal(phase: np.ndarray) -> complex:
+    """(1/M) * sum_k exp(i*phi_k): np.cos/np.sin per spin, summed with
+    math.fsum (correctly rounded)."""
+    phase = np.asarray(phase, dtype=np.float64)
+    return complex(math.fsum(np.cos(phase)), math.fsum(np.sin(phase))) / len(phase)

@@ -71,6 +71,13 @@ class TestRun:
         assert result.returncode == 3
         assert "line 1" in result.stderr
 
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_non_positive_ensemble_size_is_usage_error(self, workdir, size):
+        result = run_cli("run", "demo.pp", "--ensemble-size", size, cwd=workdir)
+        assert result.returncode == 2
+        assert "--ensemble-size" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_register_capped_by_max_qubits(self, tmp_path):
         (tmp_path / "wide.pp").write_text(
             "pulse90 t\nwhiten t\nencode r 25\niqft r\nacquire shots=2\n"
@@ -211,6 +218,13 @@ class TestConfigFile:
         (tmp_path / "spinwhiten.conf").write_text("volume=11\n")
         result = run_cli("budget", cwd=tmp_path)
         assert result.returncode == 2
+
+    def test_non_integer_value_rejected(self, tmp_path):
+        (tmp_path / "spinwhiten.conf").write_text("max_qubits=abc\n")
+        result = run_cli("budget", cwd=tmp_path)
+        assert result.returncode == 2
+        assert "max_qubits" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_config_max_qubits_rejects_wide_register(self, tmp_path):
         (tmp_path / "spinwhiten.conf").write_text("max_qubits=3\n")

@@ -1,15 +1,18 @@
 """Spin ensemble: excitation, whitening statistics, dephasing channel."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from spinwhiten import errors
+from spinwhiten import errors, rng
 from spinwhiten.ensemble import (
-    Orientation,
     QubitDensity,
     SpinEnsemble,
+    Stage,
     dephase,
     gz_whiten,
+    phasor_sum,
     pulse90,
     receiver_signal,
     thermal_polarization,
@@ -18,16 +21,18 @@ from spinwhiten.ensemble import (
 from oracles import explicit_receiver_signal, ks_statistic
 
 
-def _transverse(phases, seed=0):
-    phases = np.asarray(phases, dtype=np.float64)
-    return SpinEnsemble(np.ones(len(phases), dtype=bool), phases, seed)
+def _whitened(count, seed):
+    return gz_whiten(pulse90(SpinEnsemble.longitudinal(count, seed=seed)))[0]
+
+
+def _mean_phasor(phases):
+    return phasor_sum(np.asarray(phases, dtype=np.float64)) / len(phases)
 
 
 class TestPulse90:
     def test_tips_all_longitudinal_spins(self):
         ens = pulse90(SpinEnsemble.longitudinal(4, seed=1))
-        assert ens.transverse.all()
-        assert ens.phase.tolist() == [0, 0, 0, 0]
+        assert ens == SpinEnsemble(4, seed=1, stage=Stage.TRANSVERSE)
 
     def test_receiver_after_pulse_is_unity(self):
         ens = pulse90(SpinEnsemble.longitudinal(10, seed=1))
@@ -35,14 +40,13 @@ class TestPulse90:
 
     def test_idempotent(self):
         once = pulse90(SpinEnsemble.longitudinal(6, seed=2))
+        assert pulse90(once) == once
         whitened, _ = gz_whiten(once)
-        again = pulse90(whitened)
-        assert np.array_equal(again.phase, whitened.phase)
+        assert pulse90(whitened) == whitened
 
     def test_preserves_existing_transverse_phase(self):
-        ens = _transverse([1.25, 2.5])
-        out = pulse90(ens)
-        assert out.phase.tolist() == [1.25, 2.5]
+        whitened = _whitened(1000, seed=8)
+        assert receiver_signal(pulse90(whitened)) == receiver_signal(whitened)
 
 
 class TestGzWhiten:
@@ -54,25 +58,31 @@ class TestGzWhiten:
         ens = pulse90(SpinEnsemble.longitudinal(1000, seed=77))
         first, g1 = gz_whiten(ens)
         second, g2 = gz_whiten(ens)
-        assert np.array_equal(first.phase, second.phase)
-        assert np.array_equal(g1, g2)
+        assert first == second and g1 == g2
+        assert receiver_signal(first) == receiver_signal(second)
 
     def test_phase_is_two_pi_gamma(self):
-        whitened, gammas = gz_whiten(pulse90(SpinEnsemble.longitudinal(100, seed=3)))
-        np.testing.assert_allclose(whitened.phase, 2 * np.pi * gammas, rtol=1e-15)
-        assert gammas.min() >= 0 and gammas.max() < 1
+        # gamma_0 is draw 0 of the seed's stream; a one-spin ensemble reads
+        # out its phasor exp(2*pi*i*gamma_0), and a larger one the mean over
+        # 2*pi*gamma_k of draws 0 .. M-1.
+        for seed in range(20):
+            one, gamma = gz_whiten(pulse90(SpinEnsemble.longitudinal(1, seed=seed)))
+            assert gamma == rng.uniforms(seed, 1)[0]
+            assert 0 <= gamma < 1
+            error = abs(receiver_signal(one) - np.exp(2j * np.pi * gamma))
+            assert error <= 2.0 ** -52 * 2 * np.pi + 1e-15
+        phases = 2 * np.pi * rng.uniforms(3, 100)
+        assert receiver_signal(_whitened(100, seed=3)) == _mean_phasor(phases)
 
     def test_uniformity_ks_frozen(self):
         # Frozen from the oracle run at this seed (M = 1e5).
-        _, gammas = gz_whiten(pulse90(SpinEnsemble.longitudinal(100_000, seed=20260808)))
-        stat = ks_statistic(gammas)
+        stat = ks_statistic(rng.uniforms(20260808, 100_000))
         assert stat == pytest.approx(0.0024527240863003175, rel=1e-12)
         assert stat <= 0.01
 
     def test_million_spin_null_signal_frozen(self):
         # Frozen from the oracle run; 3/sqrt(M) = 0.003 is the criterion bound.
-        whitened, _ = gz_whiten(pulse90(SpinEnsemble.longitudinal(1_000_000, seed=20260808)))
-        magnitude = abs(receiver_signal(whitened))
+        magnitude = abs(receiver_signal(_whitened(1_000_000, seed=20260808)))
         assert magnitude == pytest.approx(0.0010132203021918583, rel=1e-9)
         assert magnitude <= 0.003
 
@@ -81,71 +91,70 @@ class TestGzWhiten:
         m = 10_000
         bound = 5 / np.sqrt(m)
         for seed in range(100):
-            whitened, _ = gz_whiten(pulse90(SpinEnsemble.longitudinal(m, seed=seed)))
-            assert abs(receiver_signal(whitened)) <= bound
+            assert abs(receiver_signal(_whitened(m, seed=seed))) <= bound
 
     def test_with_seed_switches_stream(self):
         ens = pulse90(SpinEnsemble.longitudinal(64, seed=5))
-        _, g5 = gz_whiten(ens)
-        _, g6 = gz_whiten(with_seed(ens, 6))
-        assert not np.array_equal(g5, g6)
+        w5, g5 = gz_whiten(ens)
+        w6, g6 = gz_whiten(with_seed(ens, 6))
+        assert g5 != g6
+        assert receiver_signal(w5) != receiver_signal(w6)
+
+    def test_million_spin_whitening_allocates_no_spin_array(self):
+        # An M-length float64 array alone is 8 MB at M = 10^6.
+        tracemalloc.start()
+        try:
+            receiver_signal(_whitened(1_000_000, seed=4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestReceiverSignal:
     def test_aligned_phases(self):
-        assert receiver_signal(_transverse([0, 0, 0])) == pytest.approx(1 + 0j)
+        assert _mean_phasor([0, 0, 0]) == pytest.approx(1 + 0j)
 
     def test_opposite_phases_cancel(self):
-        signal = receiver_signal(_transverse([0, np.pi, 0, np.pi]))
-        assert abs(signal) <= 1e-15
-
-    def test_longitudinal_spins_contribute_zero(self):
-        transverse = np.array([True, True, False, False])
-        phases = np.array([0.0, 0.0, 0.0, 0.0])
-        ens = SpinEnsemble(transverse, phases, seed=0)
-        assert receiver_signal(ens) == pytest.approx(0.5 + 0j, abs=1e-15)
+        assert abs(_mean_phasor([0, np.pi, 0, np.pi])) <= 1e-15
 
     def test_all_longitudinal_gives_zero(self):
         assert receiver_signal(SpinEnsemble.longitudinal(5, seed=0)) == 0
 
     @pytest.mark.parametrize("seed", range(10))
     def test_magnitude_bounded_by_one(self, seed):
-        rng = np.random.default_rng(seed)
-        ens = _transverse(rng.uniform(0, 2 * np.pi, 1000))
-        assert abs(receiver_signal(ens)) <= 1.0 + 1e-12
+        gen = np.random.default_rng(seed)
+        assert abs(_mean_phasor(gen.uniform(0, 2 * np.pi, 1000))) <= 1.0 + 1e-12
+        assert abs(receiver_signal(_whitened(1000, seed=seed))) <= 1.0 + 1e-12
 
     def test_kernel_matches_explicit_sum(self):
         # Table-and-polynomial kernel against per-spin cos/sin summed exactly.
-        rng = np.random.default_rng(20260808)
-        cases = [
-            gz_whiten(pulse90(SpinEnsemble.longitudinal(1_000_000, seed=seed)))[0]
-            for seed in (0, 1, 20260808)
-        ]
-        cases.append(_transverse(rng.uniform(-50, 50, 100_000)))
-        mask = rng.uniform(size=50_000) < 0.3
-        cases.append(SpinEnsemble(mask, rng.uniform(0, 2 * np.pi, 50_000), seed=0))
-        # 10^6 + 1 is odd, so no power-of-two block length divides it
-        cases.append(gz_whiten(pulse90(SpinEnsemble.longitudinal(1_000_001, seed=9)))[0])
-        for ens in cases:
-            expected = explicit_receiver_signal(ens.transverse, ens.phase)
-            assert abs(receiver_signal(ens) - expected) <= 1e-12
+        # 10^6 + 1 is odd, so no power-of-two block length divides it.
+        for count, seed in ((1_000_000, 0), (1_000_000, 1), (1_000_000, 20260808),
+                            (1_000_001, 9)):
+            expected = explicit_receiver_signal(2 * np.pi * rng.uniforms(seed, count))
+            assert abs(receiver_signal(_whitened(count, seed)) - expected) <= 1e-12
+        phases = np.random.default_rng(20260808).uniform(-50, 50, 100_000)
+        assert abs(_mean_phasor(phases) - explicit_receiver_signal(phases)) <= 1e-12
         # The program's before_whiten value and the whiten benchmark oracle
-        # both read exactly 1.0 for a freshly pulsed ensemble.
+        # both read exactly 1.0 for a freshly pulsed ensemble; the kernel
+        # sums all-zero phases exactly too.
         for count in (1, 1_000_000, 1_000_001):
             pulsed = pulse90(SpinEnsemble.longitudinal(count, seed=3))
             assert receiver_signal(pulsed) == 1.0
+            assert phasor_sum(np.zeros(count)) == count
 
     def test_each_phasor_within_documented_error(self):
-        # A one-spin ensemble reads out a single phasor exp(i*(phi + e)), with
+        # The kernel reads out a single phasor exp(i*(phi + e)), with
         # |e| <= 2^-52*|phi| + 1e-15; beyond 2^20 rad the phase is reduced first.
-        rng = np.random.default_rng(4)
+        gen = np.random.default_rng(4)
         phases = np.concatenate([
-            rng.uniform(-50, 50, 1000),
-            rng.uniform(-1e9, 1e9, 300),
-            10.0 ** rng.uniform(6, 300, 300),
+            gen.uniform(-50, 50, 1000),
+            gen.uniform(-1e9, 1e9, 300),
+            10.0 ** gen.uniform(6, 300, 300),
         ])
         for phi in phases:
-            got = receiver_signal(_transverse([phi]))
+            got = phasor_sum(np.array([phi]))
             assert abs(got - np.exp(1j * phi)) <= 2.0 ** -52 * abs(phi) + 1e-15, phi
 
 
@@ -222,14 +231,6 @@ class TestThermalPolarization:
 
 
 class TestEnsembleValue:
-    def test_spin_accessor(self):
-        ens = _transverse([0.5, 1.5])
-        spin = ens.spin(1)
-        assert spin.orientation is Orientation.TRANSVERSE
-        assert spin.phase == 1.5
-        cold = SpinEnsemble.longitudinal(3, seed=0).spin(0)
-        assert cold.orientation is Orientation.LONGITUDINAL
-
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             SpinEnsemble.longitudinal(0, seed=0)
