@@ -26,10 +26,10 @@ import click
 import numpy as np
 
 from . import signal as sig
-from .errors import ProtocolError, PulseSyntaxError
+from .errors import ProtocolError, PulseSyntaxError, SpinWhitenError
 from .program import Encode, check, execute, parse
 from .qft import concentration_sweep, dft_matrix, qft_circuit
-from .statevector import ORACLE_MAX_QUBITS, dense_matrix
+from .statevector import ABSOLUTE_MAX_QUBITS, ORACLE_MAX_QUBITS, dense_matrix
 
 EXIT_SYNTAX = 2
 EXIT_PROTOCOL = 3
@@ -48,8 +48,9 @@ class CliConfig:
     master_seed: int = 0
 
     def validate(self) -> "CliConfig":
-        if not 1 <= self.max_qubits <= 30:
-            raise click.UsageError(f"max_qubits {self.max_qubits} outside [1, 30]")
+        if not 1 <= self.max_qubits <= ABSOLUTE_MAX_QUBITS:
+            raise click.UsageError(
+                f"max_qubits {self.max_qubits} outside [1, {ABSOLUTE_MAX_QUBITS}]")
         if self.default_ensemble_size < 1:
             raise click.UsageError("default_ensemble_size must be >= 1")
         if self.output_format not in ("csv", "json"):
@@ -155,7 +156,8 @@ def cmd_run(cfg: CliConfig, program_path: str, seed: int | None,
     else:
         rows = ["index,count"]
         if report.histogram is not None:
-            rows += [f"{i},{int(c)}" for i, c in enumerate(report.histogram) if c > 0]
+            rows += [f"{i},{int(report.histogram[i])}"
+                     for i in np.flatnonzero(report.histogram)]
         _write_text(out_path, "\n".join(rows) + "\n")
     for stage in report.stages:
         click.echo(f"line {stage.line_no}: {stage.op} ({stage.elapsed_s:.3f}s)", err=True)
@@ -187,7 +189,8 @@ def cmd_qft_verify(max_n: int):
 @main.command("cat")
 @click.option("--n-list", default="1,2,4,8,16,32,64,128,256,512,1024",
               help="Comma-separated averaging counts.")
-@click.option("--seeds", type=int, default=50, help="Monte Carlo repeats per N.")
+@click.option("--seeds", type=click.IntRange(min=1), default=50,
+              help="Monte Carlo repeats per N.")
 @click.option("--line", "line_spec", default="125.0,1.0,inf",
               help="Spectral line as freq_hz,amp,t2_s.")
 @click.option("--noise", type=float, default=sig.DEFAULT_CAT_NOISE_SIGMA,
@@ -208,11 +211,14 @@ def cmd_cat(cfg: CliConfig, n_list: str, seeds: int, line_spec: str, noise: floa
     if not counts or min(counts) < 1:
         raise click.UsageError("--n-list needs positive integers")
     seed = cfg.master_seed if seed is None else seed
-    rows = sig.cat_experiment(
-        counts, seeds, master_seed=seed,
-        line=sig.SpectralLine(freq, amp, t2),
-        noise_sigma=noise, length=length, dwell_s=dwell,
-    )
+    try:
+        rows = sig.cat_experiment(
+            counts, seeds, master_seed=seed,
+            line=sig.SpectralLine(freq, amp, t2),
+            noise_sigma=noise, length=length, dwell_s=dwell,
+        )
+    except SpinWhitenError as exc:
+        raise click.UsageError(str(exc)) from exc
     csv = ["N,mean_snr,std_snr"]
     csv += [f"{n},{_g17(mean)},{_g17(std)}" for n, mean, std in rows]
     text = "\n".join(csv) + "\n"

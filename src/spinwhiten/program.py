@@ -280,9 +280,8 @@ class RunReport:
             "receiver_signal": self.receiver,
             "shots": self.shots,
             "histogram": [
-                {"index": int(i), "count": int(c)}
-                for i, c in enumerate(self.histogram)
-                if c > 0
+                {"index": int(i), "count": int(self.histogram[i])}
+                for i in np.flatnonzero(self.histogram)
             ]
             if self.histogram is not None
             else [],

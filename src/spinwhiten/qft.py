@@ -128,10 +128,19 @@ def phase_encode_block(gammas: np.ndarray, n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(gammas, x)) / np.sqrt(dim)
 
 
+_TIE_RTOL = 1e-12
+
+
 def peak_readout(state: StateVector) -> tuple[int, float]:
-    """Most likely outcome and its probability; ties go to the smaller index."""
+    """Most likely outcome and its probability; ties go to the smaller index.
+
+    Every outcome within 1e-12 of the largest probability, relative, counts
+    as tied, so rounding noise in the amplitudes cannot pick the winner of an
+    exact tie (a uniform distribution reads out index 0).
+    """
     probs = probabilities(state)
-    outcome = int(np.argmax(probs))  # argmax returns the first maximum
+    tied = probs >= probs.max() * (1.0 - _TIE_RTOL)
+    outcome = int(np.argmax(tied))  # argmax returns the first True
     return outcome, float(probs[outcome])
 
 

@@ -10,6 +10,15 @@ The gate set is the Fourier-transform kit: Hadamard, phase shift, controlled
 phase and swap. Phase gates carry a positive integer order m (the applied
 phase is exp(+-2*pi*i / 2**m)) plus a dagger flag selecting the conjugate,
 which is what an inverse transform needs while keeping m positive.
+
+`apply_circuit_block` runs the gate list as written, with one fusion: each
+maximal run of consecutive controlled phases that share a qubit q multiplies
+q's |1> half by the outer product of the partners' [1, phase] vectors. A
+factor holds at most 2**12 entries (64 KiB), so a run with k partners takes
+ceil(k / 12) passes, and the n(n-1)/2 controlled phases of a QFT ladder take
+fewer than 2n. A Hadamard pass allocates one half-state temporary and is
+bit-identical to ((lo + hi) * c, (lo - hi) * c). Swaps and phase shifts run
+one gate per pass.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ ABSOLUTE_MAX_QUBITS = 30  # hard ceiling for any configuration
 ORACLE_MAX_QUBITS = 10
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
+_MAX_FACTOR_BITS = 12  # a fused controlled-phase factor holds <= 2**12 entries
 
 
 class GateKind(enum.Enum):
@@ -163,13 +173,16 @@ def _split2(block: np.ndarray, n: int, qa: int, qb: int) -> np.ndarray:
 
 
 def _hadamard_inplace(block: np.ndarray, n: int, q: int) -> None:
+    # diff is the pass's only temporary; the operations are those of
+    # ((lo + hi) * c, (lo - hi) * c) in the same order, so the output is
+    # bit-identical to that form
     view = _split1(block, n, q)
     lo = view[:, :, 0, :]
     hi = view[:, :, 1, :]
-    total = (lo + hi) * _INV_SQRT2
-    diff = (lo - hi) * _INV_SQRT2
-    view[:, :, 0, :] = total
-    view[:, :, 1, :] = diff
+    diff = lo - hi
+    lo += hi
+    lo *= _INV_SQRT2
+    np.multiply(diff, _INV_SQRT2, out=hi)
 
 
 def _phase_inplace(block: np.ndarray, n: int, q: int, phase: complex) -> None:
@@ -177,12 +190,33 @@ def _phase_inplace(block: np.ndarray, n: int, q: int, phase: complex) -> None:
     view[:, :, 1, :] *= phase
 
 
-def _controlled_phase_inplace(
-    block: np.ndarray, n: int, control: int, target: int, phase: complex
-) -> None:
-    qa, qb = sorted((control, target))  # gate is diagonal, hence symmetric
-    view = _split2(block, n, qa, qb)
-    view[:, :, 1, :, 1, :] *= phase
+def _phase_run_inplace(block: np.ndarray, n: int, q: int, run: list[GateOp]) -> None:
+    """Apply a run of controlled phases that all act on qubit q as one step.
+
+    The run is diagonal: amplitude x gains phase_p for every partner p whose
+    bit is set, provided q's bit is set. So q's |1> half is multiplied by the
+    outer product of one vector [1, phase_p] per partner, broadcast over the
+    qubits that are no partner. Partners may sit on either side of q, and a
+    partner named twice gets the product of its phases. One factor holds at
+    most 2**_MAX_FACTOR_BITS entries; a run with more partners takes one pass
+    per group of partners, starting from the least significant bits.
+    """
+    phases: dict[int, complex] = {}
+    for gate in run:
+        a, b = gate.qubits
+        partner = b if a == q else a
+        phases[partner] = phases.get(partner, 1.0) * gate.phase()
+    by_bit = sorted(phases, reverse=True)
+    for start in range(0, len(by_bit), _MAX_FACTOR_BITS):
+        group = sorted(by_bit[start : start + _MAX_FACTOR_BITS])
+        factor = np.ones(1, dtype=np.complex128)
+        for p in group:  # most significant partner first, like the index bits
+            factor = np.multiply.outer(factor, [1.0, phases[p]]).ravel()
+        # one axis per qubit; numpy merges neighbouring axes the factor
+        # treats alike, so the inner loops stay long
+        view = block.reshape(block.shape[0], *[2] * n)
+        hi = view[(slice(None),) * (1 + q) + (1,)]
+        hi *= factor.reshape([2 if k in group else 1 for k in range(n) if k != q])
 
 
 def _swap_inplace(block: np.ndarray, n: int, q1: int, q2: int) -> None:
@@ -197,15 +231,34 @@ def _swap_inplace(block: np.ndarray, n: int, q1: int, q2: int) -> None:
 
 def apply_circuit_block(block: np.ndarray, circuit: Circuit) -> None:
     """Apply a circuit's gates in list order, in place, to every row of a
-    (batch, 2**n) amplitude block; the one gate path of every register op."""
+    (batch, 2**n) amplitude block; the one gate path of every register op.
+
+    Each maximal run of consecutive controlled phases that share a qubit is
+    one diagonal step, so the QFT ladder costs fewer than 2n passes, not
+    n(n-1)/2.
+    """
     n = circuit.num_qubits
-    for gate in circuit.gates:
-        if gate.kind is GateKind.HADAMARD:
+    gates = circuit.gates
+    i = 0
+    while i < len(gates):
+        gate = gates[i]
+        i += 1
+        if gate.kind is GateKind.CONTROLLED_PHASE:
+            shared = set(gate.qubits)
+            run = [gate]
+            while (
+                i < len(gates)
+                and gates[i].kind is GateKind.CONTROLLED_PHASE
+                and shared.intersection(gates[i].qubits)
+            ):
+                shared.intersection_update(gates[i].qubits)
+                run.append(gates[i])
+                i += 1
+            _phase_run_inplace(block, n, min(shared), run)
+        elif gate.kind is GateKind.HADAMARD:
             _hadamard_inplace(block, n, gate.qubits[0])
         elif gate.kind is GateKind.PHASE_SHIFT:
             _phase_inplace(block, n, gate.qubits[0], gate.phase())
-        elif gate.kind is GateKind.CONTROLLED_PHASE:
-            _controlled_phase_inplace(block, n, *gate.qubits, gate.phase())
         else:
             _swap_inplace(block, n, *gate.qubits)
 

@@ -3,7 +3,10 @@
 These deliberately avoid the library's fast paths: the DFT here is the
 O(L^2) definition evaluated term by term, nothing shared with the radix-2
 code under test; the receiver sum calls cos/sin per spin and sums exactly,
-nothing shared with the table-and-polynomial kernel.
+nothing shared with the table-and-polynomial kernel; gate matrices are
+Kronecker products of 2x2 blocks, nothing shared with the strided kernels or
+their fused controlled-phase runs; the phase-estimation distribution is the
+closed form, not a simulation.
 """
 
 import math
@@ -38,3 +41,80 @@ def explicit_receiver_signal(phase: np.ndarray) -> complex:
     math.fsum (correctly rounded)."""
     phase = np.asarray(phase, dtype=np.float64)
     return complex(math.fsum(np.cos(phase)), math.fsum(np.sin(phase))) / len(phase)
+
+
+_HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+_UNIT = [[np.array([[1, 0], [0, 0]]), np.array([[0, 1], [0, 0]])],
+         [np.array([[0, 0], [1, 0]]), np.array([[0, 0], [0, 1]])]]  # |i><j|
+
+
+def _kron_chain(n: int, blocks: dict) -> np.ndarray:
+    """Kronecker product over qubits 0..n-1 (qubit 0 = MSB); qubits missing
+    from `blocks` get the 2x2 identity."""
+    out = np.ones((1, 1), dtype=complex)
+    for q in range(n):
+        out = np.kron(out, blocks.get(q, np.eye(2)))
+    return out
+
+
+def gate_matrix(gate, n: int) -> np.ndarray:
+    """Full 2^n x 2^n matrix of one gate, from its kind, qubits, order and
+    dagger flag only."""
+    kind = gate.kind.value
+    if kind == "h":
+        return _kron_chain(n, {gate.qubits[0]: _HADAMARD})
+    sign = -1 if gate.dagger else 1
+    phase = complex(math.cos(2 * math.pi / 2**gate.order),
+                    sign * math.sin(2 * math.pi / 2**gate.order))
+    if kind == "p":
+        return _kron_chain(n, {gate.qubits[0]: np.diag([1, phase])})
+    a, b = gate.qubits
+    if kind == "cp":
+        both_set = _kron_chain(n, {a: _UNIT[1][1], b: _UNIT[1][1]})
+        return np.eye(1 << n) + (phase - 1) * both_set
+    assert kind == "swap"
+    return sum(_kron_chain(n, {a: _UNIT[i][j], b: _UNIT[j][i]})
+               for i in range(2) for j in range(2))
+
+
+def circuit_matrix(circuit) -> np.ndarray:
+    """Product of the gate matrices, the first gate acting first."""
+    n = circuit.num_qubits
+    out = np.eye(1 << n, dtype=complex)
+    for gate in circuit.gates:
+        out = gate_matrix(gate, n) @ out
+    return out
+
+
+def phase_estimation_distribution(gamma: float, n: int) -> np.ndarray:
+    """P(y) = sin^2(pi N delta) / (N^2 sin^2(pi delta)), delta = gamma - y/N,
+    N = 2^n, and P = 1 where delta is an integer: the outcome distribution of
+    the inverse transform applied to the phase-encoded state of gamma.
+
+    sin^2 has period pi, so the numerator is sin^2(pi frac(N gamma)) for
+    every y, and delta is reduced to [-1/2, 1/2) before the denominator;
+    N gamma - y is exact in binary floating point.
+    """
+    size = 1 << n
+    scaled = gamma * size  # exact: N is a power of two
+    delta = (scaled - np.arange(size)) / size  # N delta is exact
+    delta -= np.floor(delta + 0.5)
+    numerator = math.sin(math.pi * (scaled - math.floor(scaled))) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        probs = numerator / (size * size * np.sin(np.pi * delta) ** 2)
+    probs[delta == 0] = 1.0
+    return probs
+
+
+def exact_phase_state(gamma: float, n: int) -> np.ndarray:
+    """Amplitudes 2^{-n/2} exp(2*pi*i*gamma*x), x < 2^n <= 2^29, with the
+    turns gamma*x reduced mod 1 before the angle is formed: gamma splits into
+    a 24-bit head, whose products with x are exact, and the exact remainder,
+    so every angle is within about 1e-15 rad of the true one."""
+    x = np.arange(1 << n, dtype=np.float64)
+    head = float(np.float32(gamma))
+    turns = head * x
+    turns -= np.rint(turns)
+    turns += (gamma - head) * x
+    turns -= np.rint(turns)
+    return np.exp(2j * np.pi * turns) / math.sqrt(1 << n)

@@ -54,6 +54,20 @@ class TestRun:
         assert lines[0] == "index,count"
         assert lines[1] == "5,4096"
 
+    def test_wide_register_csv_lists_nonzero_bins(self, tmp_path):
+        source = CANONICAL.replace("encode r 4", "encode r 20")
+        (tmp_path / "wide.pp").write_text(source, encoding="utf-8")
+        for fmt in ("csv", "json"):
+            result = run_cli("run", "wide.pp", "--ensemble-size", "10",
+                             "--out", f"hist.{fmt}", "--format", fmt, cwd=tmp_path)
+            assert result.returncode == 0
+        lines = (tmp_path / "hist.csv").read_text().splitlines()
+        doc = json.loads((tmp_path / "hist.json").read_text())
+        assert lines == ["index,count"] + [
+            f"{e['index']},{e['count']}" for e in doc["histogram"]
+        ]
+        assert lines[1:] == [f"{5 << 16},4096"]
+
     def test_missing_file_is_io_error(self, tmp_path):
         result = run_cli("run", "nope.pp", cwd=tmp_path)
         assert result.returncode == 4
@@ -164,6 +178,19 @@ class TestCat:
     def test_bad_n_list(self, tmp_path):
         result = run_cli("cat", "--n-list", "1,zap", cwd=tmp_path)
         assert result.returncode == 2
+
+    @pytest.mark.parametrize("args,message", [
+        (("--length", "100"), "power of two"),
+        (("--line", "600,1,inf"), "Nyquist"),
+        (("--length", "64"), "window"),
+        (("--seeds", "0"), "--seeds"),
+    ])
+    def test_invalid_input_is_usage_error(self, tmp_path, args, message):
+        result = run_cli("cat", "--n-list", "1,2", *args, "--out", "cat.csv", cwd=tmp_path)
+        assert result.returncode == 2
+        assert message in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "cat.csv").exists()
 
 
 class TestDeterminism:

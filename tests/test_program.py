@@ -261,3 +261,19 @@ class TestRunReportJson:
         report = execute(parse(CANONICAL), ensemble_size=20, master_seed=4)
         doc = report.to_json_dict()
         assert all(item["count"] > 0 for item in doc["histogram"])
+
+    @pytest.mark.parametrize("whiten", [f"whiten t seed={MAGIC_SEED}", "whiten t"])
+    def test_wide_register_lists_exactly_its_nonzero_bins(self, whiten):
+        # 20 qubits: gamma 5/16 is dyadic (one bin); the derived seed is not
+        source = f"pulse90 t\n{whiten}\nencode r 20\niqft r\nacquire shots=4096\n"
+        report = execute(parse(source), ensemble_size=20, master_seed=4)
+        entries = report.to_json_dict()["histogram"]
+        counts = report.histogram.tolist()
+        assert entries == [
+            {"index": i, "count": c} for i, c in enumerate(counts) if c != 0
+        ]
+        assert all(type(e["index"]) is int and type(e["count"]) is int for e in entries)
+        if "seed=" in whiten:
+            assert entries == [{"index": 5 << 16, "count": 4096}]
+        else:
+            assert len(entries) > 1

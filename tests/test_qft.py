@@ -18,11 +18,14 @@ from spinwhiten.qft import (
 )
 from spinwhiten.statevector import (
     GateKind,
+    StateVector,
     apply_circuit,
     dense_matrix,
     new_state,
     probabilities,
 )
+
+from oracles import exact_phase_state, phase_estimation_distribution
 
 
 class TestCircuitShape:
@@ -168,6 +171,19 @@ class TestPeakReadout:
         state = phase_encode(0.0, 2)  # uniform: all outcomes tie at 0.25
         assert peak_readout(state) == (0, pytest.approx(0.25, abs=1e-15))
 
+    def test_rounding_noise_does_not_break_a_tie(self):
+        # qft then iqft gives back a uniform distribution, up to rounding
+        state = phase_encode(0.3, 5)
+        state = apply_circuit(apply_circuit(state, qft_circuit(5)), inverse_qft_circuit(5))
+        probs = probabilities(state)
+        assert np.ptp(probs) > 0  # not bit-exact, so a plain argmax is noise
+        assert peak_readout(state) == (0, pytest.approx(1 / 32, rel=1e-12))
+
+    def test_non_tie_follows_rounding_rule(self):
+        gamma, n = 0.3, 4
+        state = apply_circuit(phase_encode(gamma, n), inverse_qft_circuit(n))
+        assert peak_readout(state)[0] == round(gamma * (1 << n))
+
 
 class TestConcentrationSweep:
     def test_matches_single_state_path(self):
@@ -195,3 +211,33 @@ class TestConcentrationSweep:
         block = phase_encode_block(np.array([0.3, 0.7]), 3)
         np.testing.assert_allclose(block[0], phase_encode(0.3, 3).amps, atol=1e-15)
         np.testing.assert_allclose(block[1], phase_encode(0.7, 3).amps, atol=1e-15)
+
+
+class TestClosedFormDistribution:
+    """Inverse transform of an encoded phase against the phase-estimation
+    distribution, at register sizes far beyond the dense-matrix oracle. From
+    n = 14 the first controlled-phase runs have more partners than one fused
+    factor holds, so they take several passes."""
+
+    @pytest.mark.parametrize("n", [12, 16, 20, 22])
+    def test_dyadic_phase(self, n):
+        gamma = ((5 << (n - 4)) + 3) / (1 << n)
+        state = apply_circuit(phase_encode(gamma, n), inverse_qft_circuit(n))
+        expected = phase_estimation_distribution(gamma, n)
+        assert np.abs(probabilities(state) - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [12, 16, 20, 22])
+    def test_non_dyadic_phase(self, n):
+        # the input angles are built from gamma*x reduced mod 1, so only the
+        # circuit's own rounding is measured
+        gamma = 1 / 3
+        state = StateVector(n, exact_phase_state(gamma, n))
+        probs = probabilities(apply_circuit(state, inverse_qft_circuit(n)))
+        expected = phase_estimation_distribution(gamma, n)
+        assert np.abs(probs - expected).max() <= 1e-12
+
+    def test_phase_encode_non_dyadic_at_twelve_qubits(self):
+        gamma = 1 / 3
+        state = apply_circuit(phase_encode(gamma, 12), inverse_qft_circuit(12))
+        expected = phase_estimation_distribution(gamma, 12)
+        assert np.abs(probabilities(state) - expected).max() <= 1e-12

@@ -1,10 +1,13 @@
 """Statevector register: basis states, gate kernels, dense-matrix oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinwhiten import errors
+from spinwhiten import errors, statevector
+from spinwhiten.qft import inverse_qft_circuit, phase_encode, qft_circuit
 from spinwhiten.statevector import (
     Circuit,
     GateOp,
@@ -14,6 +17,8 @@ from spinwhiten.statevector import (
     new_state,
     probabilities,
 )
+
+from oracles import circuit_matrix
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -170,6 +175,75 @@ class TestDenseMatrix:
         matrix = dense_matrix(_random_circuit(n, 20, seed=n))
         gram = matrix.conj().T @ matrix
         assert np.abs(gram - np.eye(1 << n)).max() <= 1e-10
+
+
+class TestFusedPhaseRuns:
+    """Runs of controlled phases on one shared qubit are applied as one
+    diagonal factor; the Kronecker-product oracle applies them gate by gate."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_gate_by_gate_oracle(self, seed):
+        circuit = _phase_run_circuit(2 + seed % 5, seed)
+        assert np.abs(dense_matrix(circuit) - circuit_matrix(circuit)).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_transform_ladders_match_oracle(self, n):
+        for circuit in (qft_circuit(n), inverse_qft_circuit(n)):
+            assert np.abs(dense_matrix(circuit) - circuit_matrix(circuit)).max() <= 1e-12
+
+    @pytest.mark.parametrize("bits", [1, 2, 3])
+    def test_runs_split_across_several_factors(self, bits, monkeypatch):
+        # a small cap makes runs of 2..5 partners take several passes, with
+        # groups that straddle the shared qubit
+        monkeypatch.setattr(statevector, "_MAX_FACTOR_BITS", bits)
+        for seed in range(4):
+            circuit = _phase_run_circuit(6, 100 + seed)
+            assert np.abs(dense_matrix(circuit) - circuit_matrix(circuit)).max() <= 1e-12
+
+    def test_twenty_qubit_inverse_transform_allocation_peak(self):
+        # the output copy (16 MiB) plus one half-state temporary (8 MiB)
+        state = phase_encode(0.3, 20)
+        circuit = inverse_qft_circuit(20)
+        tracemalloc.start()
+        try:
+            apply_circuit(state, circuit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25 * 2**20
+
+
+def _phase_run_circuit(n, seed, runs=8):
+    """Seeded circuit of controlled-phase runs separated by a Hadamard, swap
+    or phase shift. Every fourth run is a single gate; the others share an
+    inner qubit q (when n > 2) with partners q - 1 and q + 1 first, then
+    random partners that may repeat, each gate with a random order, dagger
+    flag and control/target order."""
+    rng = np.random.default_rng(seed)
+    gates = []
+    for r in range(runs):
+        q = int(rng.integers(1, n - 1)) if n > 2 else int(rng.integers(0, n))
+        others = [k for k in range(n) if k != q]
+        if r % 4 == 0:
+            partners = [int(rng.choice(others))]
+        else:
+            partners = [k for k in (q - 1, q + 1) if 0 <= k < n]
+            partners += [int(k) for k in rng.choice(others, size=int(rng.integers(0, 2 * n)))]
+        for partner in partners:
+            pair = (q, partner) if rng.integers(0, 2) else (partner, q)
+            gates.append(GateOp.controlled_phase(*pair, order=int(rng.integers(1, 8)),
+                                                 dagger=bool(rng.integers(0, 2))))
+        breaker = r % 3
+        if breaker == 0:
+            gates.append(GateOp.hadamard(int(rng.integers(0, n))))
+        elif breaker == 1:
+            a, b = rng.choice(n, size=2, replace=False)
+            gates.append(GateOp.swap(int(a), int(b)))
+        else:
+            gates.append(GateOp.phase_shift(int(rng.integers(0, n)),
+                                            order=int(rng.integers(1, 8)),
+                                            dagger=bool(rng.integers(0, 2))))
+    return Circuit(n, tuple(gates))
 
 
 def _random_state(n, seed):
