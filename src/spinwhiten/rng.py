@@ -11,8 +11,6 @@ draw is an exactly representable target (used for dyadic-phase experiments).
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 MASK64 = (1 << 64) - 1
@@ -44,20 +42,20 @@ def uniform01(word: int) -> float:
     return (word >> 11) * _U53_SCALE
 
 
-@functools.lru_cache(maxsize=4)
-def _counter_words(start: int, count: int) -> np.ndarray:
-    """(k+1)*GOLDEN for k in [start, start+count): shared, never mutated."""
-    k = np.arange(start, start + count, dtype=np.uint64)
-    return (k + np.uint64(1)) * np.uint64(GOLDEN)
+def words(seed: int | np.ndarray, count: int, start: int = 0) -> np.ndarray:
+    """Words start .. start+count-1 of the stream, vectorized, as uint64.
 
-
-def uniforms(seed: int, count: int, start: int = 0) -> np.ndarray:
-    """Draws start .. start+count-1 of the stream, vectorized.
-
-    Equivalent to ``[uniform01(mix(seed, k)) for k in range(start, start+count)]``
-    but allocation-lean: million-spin whitening sweeps hit this path hard.
+    Equivalent to ``[mix(seed, k) for k in range(start, start+count)]``. seed
+    is an int, or a uint64 column of shape (B, 1) whose rows are separate
+    streams: the result then has shape (B, count), row b holding the words of
+    seed[b], so a batch of streams is hashed in one pass.
     """
-    z = _counter_words(start, count) + np.uint64(seed & MASK64)
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= np.uint64(GOLDEN)
+    if isinstance(seed, np.ndarray):
+        z = seed + z
+    else:
+        z += np.uint64(seed & MASK64)
     tmp = np.empty_like(z)
     np.right_shift(z, np.uint64(30), out=tmp)
     z ^= tmp
@@ -67,21 +65,39 @@ def uniforms(seed: int, count: int, start: int = 0) -> np.ndarray:
     z *= np.uint64(_MULT2)
     np.right_shift(z, np.uint64(31), out=tmp)
     z ^= tmp
+    return z
+
+
+def uniforms(seed: int | np.ndarray, count: int, start: int = 0) -> np.ndarray:
+    """Draws start .. start+count-1 of the stream, vectorized.
+
+    Equivalent to ``[uniform01(mix(seed, k)) for k in range(start, start+count)]``
+    but allocation-lean: million-spin whitening sweeps hit this path hard.
+    seed may be a uint64 column of streams, as in `words`.
+    """
+    z = words(seed, count, start)
     z >>= np.uint64(11)
     return z * _U53_SCALE
 
 
-def normals(seed: int, count: int, start: int = 0) -> np.ndarray:
+def normals(seed: int | np.ndarray, count: int, start: int = 0) -> np.ndarray:
     """Standard-normal draws via Box-Muller over consecutive uniform pairs.
 
     Draw j consumes stream positions 2j and 2j+1, so disjoint (start, count)
-    ranges never share entropy.
+    ranges never share entropy. seed may be a uint64 column of streams, as in
+    `words`; each row is then that stream's draws.
     """
     u = uniforms(seed, 2 * count, start=2 * start)
-    # 1 - u lies in (0, 1]; log of it is finite.
-    radius = np.sqrt(-2.0 * np.log(1.0 - u[0::2]))
-    angle = 2.0 * np.pi * u[1::2]
-    return radius * np.cos(angle)
+    # radius = sqrt(-2 log(1 - u_even)), angle = 2 pi u_odd, each in one buffer;
+    # 1 - u lies in (0, 1], so its log is finite.
+    radius = np.subtract(1.0, u[..., 0::2])
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle = np.multiply(u[..., 1::2], 2.0 * np.pi)
+    np.cos(angle, out=angle)
+    radius *= angle
+    return radius
 
 
 def fnv1a64(text: str) -> int:

@@ -6,7 +6,8 @@ code under test; the receiver sum calls cos/sin per spin and sums exactly,
 nothing shared with the table-and-polynomial kernel; gate matrices are
 Kronecker products of 2x2 blocks, nothing shared with the strided kernels or
 their fused controlled-phase runs; the phase-estimation distribution is the
-closed form, not a simulation.
+closed form, not a simulation; the averaging study is built shot by shot
+from `synth_fid`, one trace per shot, not from the batched shot blocks.
 """
 
 import math
@@ -118,3 +119,31 @@ def exact_phase_state(gamma: float, n: int) -> np.ndarray:
     turns += (gamma - head) * x
     turns -= np.rint(turns)
     return np.exp(2j * np.pi * turns) / math.sqrt(1 << n)
+
+
+def explicit_cat_average(n_shots: int, seed: int, line, noise_sigma: float,
+                         length: int, dwell_s: float):
+    """Mean of n_shots traces, each one `synth_fid` call seeded by
+    rng.mix(seed, shot), held in a list and summed in order in clongdouble."""
+    from spinwhiten import rng, signal
+
+    traces = [
+        signal.synth_fid([line], length, dwell_s, noise_sigma, seed=rng.mix(seed, shot))
+        for shot in range(n_shots)
+    ]
+    total = np.zeros(length, dtype=np.clongdouble)
+    for trace in traces:
+        total += trace.samples
+    return signal.FidTrace((total / n_shots).astype(np.complex128), dwell_s)
+
+
+def explicit_cat_snr(n_shots: int, seed: int, line, noise_sigma: float,
+                     length: int, dwell_s: float) -> float:
+    """SNR of `explicit_cat_average` over the default cat windows."""
+    from spinwhiten import signal
+
+    averaged = explicit_cat_average(n_shots, seed, line, noise_sigma, length, dwell_s)
+    return signal.estimate_snr(
+        signal.fft(averaged), signal.DEFAULT_PEAK_WINDOW, signal.DEFAULT_NOISE_WINDOW,
+        n_averages=n_shots,
+    ).snr

@@ -184,12 +184,20 @@ class TestCat:
         (("--line", "600,1,inf"), "Nyquist"),
         (("--length", "64"), "window"),
         (("--seeds", "0"), "--seeds"),
+        (("--dwell", "0"), "dwell"),
+        (("--dwell", "nan"), "dwell"),
+        (("--noise", "nan"), "noise sigma"),
+        (("--noise", "inf"), "noise sigma"),
+        (("--line", "nan,1,inf"), "frequency"),
+        (("--line", "125,inf,inf"), "amplitude"),
     ])
     def test_invalid_input_is_usage_error(self, tmp_path, args, message):
         result = run_cli("cat", "--n-list", "1,2", *args, "--out", "cat.csv", cwd=tmp_path)
         assert result.returncode == 2
         assert message in result.stderr
         assert "Traceback" not in result.stderr
+        assert [line for line in result.stderr.splitlines() if line.startswith("Error")] \
+            == [result.stderr.splitlines()[-1]]
         assert not (tmp_path / "cat.csv").exists()
 
 

@@ -66,6 +66,31 @@ def test_normals_offset_is_pairwise():
     assert tail.tolist() == full[20:].tolist()
 
 
+class TestWords:
+    @pytest.mark.parametrize("seed", [0, 987654321, 2**63 + 7, rng.MASK64])
+    @pytest.mark.parametrize("start", [0, 1, 1000])
+    def test_words_match_mix(self, seed, start):
+        got = rng.words(seed, 50, start=start)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [rng.mix(seed, k) for k in range(start, start + 50)]
+
+    def test_seed_column_hashes_one_stream_per_row(self):
+        seeds = rng.words(2**63 + 99, 5)[:, None]
+        got = rng.words(seeds, 40, start=3)
+        assert got.shape == (5, 40)
+        for row, seed in zip(got, seeds[:, 0]):
+            assert row.tolist() == [rng.mix(int(seed), k) for k in range(3, 43)]
+
+    @pytest.mark.parametrize("draw", [rng.uniforms, rng.normals])
+    @pytest.mark.parametrize("start", [0, 17])
+    def test_seed_column_equals_stacked_scalar_calls(self, draw, start):
+        seeds = np.array([0, 1, 2**63, rng.MASK64, 3192346357569502190], dtype=np.uint64)
+        got = draw(seeds[:, None], 33, start=start)
+        want = np.stack([draw(int(seed), 33, start=start) for seed in seeds])
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 @given(st.integers(min_value=0, max_value=rng.MASK64))
 def test_invert_mix64_round_trip(word):
     assert rng.invert_mix64(rng.mix64(word)) == word

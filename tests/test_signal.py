@@ -1,11 +1,12 @@
 """Acquisition baseline: synthesis, averaging, SNR, budget arithmetic."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from spinwhiten import errors
+from spinwhiten import errors, rng, signal
 from spinwhiten.signal import (
     DEFAULT_BUDGET,
     FidTrace,
@@ -25,7 +26,7 @@ from spinwhiten.signal import (
     spin_budget_chain,
     synth_fid,
 )
-from oracles import naive_dft
+from oracles import explicit_cat_average, explicit_cat_snr, naive_dft
 
 
 class TestSynthFid:
@@ -62,6 +63,13 @@ class TestSynthFid:
         rms = np.sqrt(np.mean(np.abs(a.samples) ** 2))
         assert rms == pytest.approx(0.5 * np.sqrt(2), rel=0.1)
 
+    def test_noise_parts_are_consecutive_stream_draws(self):
+        # Real parts take normals 0 .. L-1 of the seed's stream, imaginary L .. 2L-1.
+        trace = synth_fid([], 8, 1.0, noise_sigma=1.0, seed=2**63 + 1)
+        draws = rng.normals(2**63 + 1, 16)
+        assert np.array_equal(trace.samples.real, draws[:8])
+        assert np.array_equal(trace.samples.imag, draws[8:])
+
     def test_rejects_line_at_or_above_nyquist(self):
         with pytest.raises(errors.LineAboveNyquist):
             synth_fid([SpectralLine(0.5)], 16, dwell_s=1.0)
@@ -75,6 +83,27 @@ class TestSynthFid:
             SpectralLine(0.0, amp=-1.0)
         with pytest.raises(errors.OutOfRange):
             SpectralLine(0.0, t2_s=0.0)
+
+    @pytest.mark.parametrize("freq,amp,t2", [
+        (math.nan, 1.0, math.inf),
+        (math.inf, 1.0, math.inf),
+        (125.0, math.inf, math.inf),
+        (125.0, math.nan, math.inf),
+        (125.0, 1.0, math.nan),
+    ])
+    def test_line_rejects_non_finite(self, freq, amp, t2):
+        with pytest.raises(errors.OutOfRange):
+            SpectralLine(freq, amp, t2)
+
+    @pytest.mark.parametrize("dwell", [0.0, -1e-3, math.nan, math.inf])
+    def test_rejects_bad_dwell(self, dwell):
+        with pytest.raises(errors.OutOfRange, match="dwell"):
+            synth_fid([SpectralLine(1.0)], 16, dwell_s=dwell)
+
+    @pytest.mark.parametrize("sigma", [-0.5, math.nan, math.inf])
+    def test_rejects_bad_noise_sigma(self, sigma):
+        with pytest.raises(errors.OutOfRange, match="noise sigma"):
+            synth_fid([], 16, 1.0, noise_sigma=sigma)
 
 
 class TestTraceAndSpectrum:
@@ -94,6 +123,8 @@ class TestTraceAndSpectrum:
             FidTrace(np.zeros(3, dtype=complex), 1.0)
         with pytest.raises(errors.OutOfRange):
             FidTrace(np.zeros(4, dtype=complex), 0.0)
+        with pytest.raises(errors.OutOfRange):
+            FidTrace(np.zeros(4, dtype=complex), math.nan)
 
 
 class TestCatAverage:
@@ -105,6 +136,13 @@ class TestCatAverage:
     def test_rejects_empty(self):
         with pytest.raises(errors.EmptyInput):
             cat_average([])
+        with pytest.raises(errors.EmptyInput):
+            cat_average(iter([]))
+
+    def test_consumes_a_stream(self):
+        traces = [synth_fid([], 16, 1.0, noise_sigma=1.0, seed=s) for s in range(5)]
+        streamed = cat_average(trace for trace in traces)
+        assert np.array_equal(streamed.samples, cat_average(traces).samples)
 
     def test_rejects_mismatched(self):
         with pytest.raises(errors.LengthMismatch):
@@ -249,6 +287,11 @@ class TestCatExperiment:
     def test_slope_undefined_for_single_point(self):
         assert loglog_slope([(1, 10.0, 1.0)]) is None
 
+    def test_rejects_non_finite_noise(self):
+        for sigma in (math.nan, math.inf, -1.0):
+            with pytest.raises(errors.OutOfRange, match="noise sigma"):
+                cat_snr(4, seed=1, noise_sigma=sigma)
+
     def test_experiment_reproducible(self):
         a = cat_experiment([1, 2], n_seeds=5, master_seed=9)
         b = cat_experiment([1, 2], n_seeds=5, master_seed=9)
@@ -265,3 +308,52 @@ def test_spectrum_csv_shape():
     fields = lines[3].split(",")
     assert int(fields[0]) == 2
     assert float(fields[1]) == pytest.approx(2 * 0.125)
+
+
+class TestBatchedCatMatchesPerShotSynthesis:
+    """cat_snr hashes and Box-Mullers blocks of 32 shots; the oracle builds
+    one synth_fid trace per shot. Equality is exact, not approximate."""
+
+    @pytest.mark.parametrize("n_shots", [1, 31, 32, 33, 63, 64, 65, 200])
+    @pytest.mark.parametrize("seed", [3, 2**63 + 12345])
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.5])
+    def test_default_line(self, n_shots, seed, noise_sigma):
+        got = cat_snr(n_shots, seed, noise_sigma=noise_sigma)
+        want = explicit_cat_snr(n_shots, seed, signal.DEFAULT_CAT_LINE, noise_sigma,
+                                signal.DEFAULT_CAT_LENGTH, signal.DEFAULT_CAT_DWELL_S)
+        assert got == want
+
+    @pytest.mark.parametrize("n_shots", [64, 65, 200])
+    @pytest.mark.parametrize("line,length", [
+        (SpectralLine(125.0, 0.7, t2_s=0.05), 256),
+        (SpectralLine(62.5, 1.0, t2_s=0.2), 512),  # bin 32 of 512
+    ])
+    def test_finite_t2_and_long_trace(self, n_shots, line, length):
+        got = cat_snr(n_shots, 21, line=line, noise_sigma=0.5, length=length)
+        want = explicit_cat_snr(n_shots, 21, line, 0.5, length, 1e-3)
+        assert got == want
+
+    @pytest.mark.parametrize("n_shots", [63, 65])
+    def test_short_trace_average(self, n_shots, monkeypatch):
+        # At length 64 the default windows do not fit, so compare the average
+        # that reaches the transform before estimate_snr refuses it.
+        seen = []
+        real_fft = signal.fft
+        monkeypatch.setattr(signal, "fft", lambda trace: seen.append(trace) or real_fft(trace))
+        line = SpectralLine(125.0, 1.0, t2_s=0.02)
+        with pytest.raises(errors.OutOfRange, match="window"):
+            cat_snr(n_shots, 8, line=line, noise_sigma=0.5, length=64)
+        want = explicit_cat_average(n_shots, 8, line, 0.5, 64, 1e-3)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0].samples, want.samples)
+        assert seen[0].dwell_s == want.dwell_s
+
+    def test_peak_memory_does_not_grow_with_shots(self):
+        # 1024 traces of 256 samples alone hold 4 MiB.
+        tracemalloc.start()
+        try:
+            cat_snr(1024, seed=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
