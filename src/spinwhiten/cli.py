@@ -66,7 +66,11 @@ def load_config(path: Path | None) -> CliConfig:
         if path is not None:
             raise click.UsageError(f"config file not found: {path}")
         return cfg
-    for raw in candidate.read_text(encoding="utf-8").splitlines():
+    try:
+        text = candidate.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise click.UsageError(f"config file {candidate} is not UTF-8 text: {exc}") from exc
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -132,6 +136,8 @@ def cmd_run(cfg: CliConfig, program_path: str, seed: int | None,
     except OSError as exc:
         click.echo(f"cannot read program {program_path}: {exc}", err=True)
         sys.exit(EXIT_IO)
+    except UnicodeDecodeError as exc:
+        raise click.UsageError(f"program {program_path} is not UTF-8 text: {exc}") from exc
     try:
         program = check(parse(source, source_name=program_path))
         for stmt in program.statements:
@@ -249,9 +255,12 @@ def cmd_budget(overrides: str | None):
                 stages[key] = int(value)
             except ValueError as exc:
                 raise click.UsageError(f"stage exponent must be integer: {part!r}") from exc
-    budget = sig.SpinBudget(tuple(stages.items()))
+    try:
+        chain = sig.spin_budget_chain(sig.SpinBudget(tuple(stages.items())))
+    except SpinWhitenError as exc:
+        raise click.UsageError(str(exc)) from exc
     click.echo("stage,cumulative_exponent,population")
-    for stage in sig.spin_budget_chain(budget):
+    for stage in chain:
         click.echo(f"{stage.label},{stage.exponent},{stage.population}")
 
 

@@ -22,7 +22,7 @@ from .statevector import (
     Circuit,
     GateOp,
     StateVector,
-    apply_circuit_block,
+    compile_circuit,
     probabilities,
 )
 
@@ -150,21 +150,22 @@ def concentration_sweep(
     """Inverse-transform concentration over the grid gamma = j / grid_points.
 
     Encodes every grid phase, runs each through the inverse transform circuit
-    (batched over rows of amplitudes, chunked to bound memory), and returns
-    (gammas, argmax indices, peak probabilities). This is the empirical probe
-    of how sharply a randomized phase concentrates onto one basis state.
+    (compiled once, then applied to chunks of rows of about 256 KiB, which
+    stay in cache through every pass), and returns (gammas, argmax indices,
+    peak probabilities). This is the empirical probe of how sharply a
+    randomized phase concentrates onto one basis state.
     """
     if grid_points < 2:
         raise ValueError(f"grid must have at least 2 points, got {grid_points}")
-    circuit = qft_circuit(QftSpec(n, inverse=True))
+    schedule = compile_circuit(qft_circuit(QftSpec(n, inverse=True)))
     gammas = np.arange(grid_points) / grid_points
     if chunk_rows is None:
-        chunk_rows = max(1, (1 << 21) >> n)  # ~32 MB of amplitudes per chunk
+        chunk_rows = max(1, (1 << 14) >> n)
     argmax = np.empty(grid_points, dtype=np.int64)
     peaks = np.empty(grid_points, dtype=np.float64)
     for start in range(0, grid_points, chunk_rows):
         block = phase_encode_block(gammas[start : start + chunk_rows], n)
-        apply_circuit_block(block, circuit)
+        schedule.apply_block(block)
         probs = block.real * block.real + block.imag * block.imag
         argmax[start : start + chunk_rows] = probs.argmax(axis=1)
         peaks[start : start + chunk_rows] = probs.max(axis=1)

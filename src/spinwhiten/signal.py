@@ -243,16 +243,28 @@ DEFAULT_BUDGET = SpinBudget(
 )
 
 
+# Cumulative exponents beyond +-300 leave the range of a normal float, and
+# far beyond it the exact integer no longer prints (Python caps int-to-str
+# conversion at 4300 digits); no physical spin count comes near either.
+BUDGET_EXPONENT_LIMIT = 300
+
+
 def spin_budget_chain(budget: SpinBudget = DEFAULT_BUDGET) -> list[BudgetStage]:
     """Running product of decades: stage populations 10^23 -> 10^20 -> ...
 
     Populations are exact integers whenever the cumulative exponent is
-    non-negative (Python bigints, so 10**23 really is 10**23).
+    non-negative (Python bigints, so 10**23 really is 10**23). A cumulative
+    exponent beyond +-BUDGET_EXPONENT_LIMIT raises OutOfRange.
     """
     chain: list[BudgetStage] = []
     exponent = 0
     for label, decade in budget.stages:
         exponent += decade
+        if abs(exponent) > BUDGET_EXPONENT_LIMIT:
+            raise OutOfRange(
+                f"stage {label!r} reaches 10^{exponent}, outside "
+                f"10^-{BUDGET_EXPONENT_LIMIT} .. 10^{BUDGET_EXPONENT_LIMIT}"
+            )
         population = 10**exponent if exponent >= 0 else 10.0**exponent
         chain.append(BudgetStage(label, exponent, population))
     return chain
@@ -312,15 +324,31 @@ def cat_snr(
     is bit-identical to ``synth_fid([line], length, dwell_s, noise_sigma,
     seed=rng.mix(seed, j))``, but the clean line is synthesized once and the
     noise of _CAT_SHOT_BLOCK shots is drawn in one pass; shots stream into
-    `cat_average`, so no list of n_shots traces is held.
+    `cat_average`, so no list of n_shots traces is held. A line whose bin,
+    round(freq * length * dwell) mod length, misses DEFAULT_PEAK_WINDOW or
+    lands in DEFAULT_NOISE_WINDOW raises OutOfRange.
     """
     _check_noise_sigma(noise_sigma)
     clean = synth_fid([line], length, dwell_s)
     averaged = cat_average(_cat_shots(clean, n_shots, seed, noise_sigma))
+    spectrum = fft(averaged)
+    _check_line_bin(line, length, dwell_s)
     report = estimate_snr(
-        fft(averaged), DEFAULT_PEAK_WINDOW, DEFAULT_NOISE_WINDOW, n_averages=n_shots
+        spectrum, DEFAULT_PEAK_WINDOW, DEFAULT_NOISE_WINDOW, n_averages=n_shots
     )
     return report.snr
+
+
+def _check_line_bin(line: SpectralLine, length: int, dwell_s: float) -> None:
+    """The SNR windows are fixed bins, so the line must fall in the peak
+    window and clear of the noise window; else the SNR would measure noise."""
+    line_bin = round(line.freq_hz * length * dwell_s) % length
+    peak, noise = DEFAULT_PEAK_WINDOW, DEFAULT_NOISE_WINDOW
+    if not peak[0] <= line_bin < peak[1] or noise[0] <= line_bin < noise[1]:
+        raise OutOfRange(
+            f"line at {line.freq_hz:g} Hz falls in bin {line_bin} of {length}, "
+            f"outside the fixed peak window [{peak[0]}, {peak[1]})"
+        )
 
 
 def _cat_shots(

@@ -190,6 +190,8 @@ class TestCat:
         (("--noise", "inf"), "noise sigma"),
         (("--line", "nan,1,inf"), "frequency"),
         (("--line", "125,inf,inf"), "amplitude"),
+        (("--length", "512"), "peak window"),  # 125 Hz lands in bin 64
+        (("--line", "200,1,inf"), "peak window"),  # bin 51
     ])
     def test_invalid_input_is_usage_error(self, tmp_path, args, message):
         result = run_cli("cat", "--n-list", "1,2", *args, "--out", "cat.csv", cwd=tmp_path)
@@ -267,3 +269,27 @@ class TestConfigFile:
         result = run_cli("run", "demo.pp", "--ensemble-size", "4", cwd=tmp_path)
         assert result.returncode == 3
         assert "max_qubits" in result.stderr
+
+
+NOT_UTF8 = b"pulse90 t\n\xff\xfe\n"
+
+
+class TestUnreadableInput:
+    """Input that used to end in a traceback exits 2 with one Error line."""
+
+    @pytest.mark.parametrize("args,files,message", [
+        (("run", "bad.pp"), {"bad.pp": NOT_UTF8}, "bad.pp is not UTF-8"),
+        (("--config", "bad.conf", "budget"), {"bad.conf": b"master_seed=\xff\n"},
+         "bad.conf is not UTF-8"),
+        (("budget", "--stages", "avogadro=5000"), {}, "10^5000"),
+    ])
+    def test_exits_two_with_one_error_line(self, tmp_path, args, files, message):
+        for name, content in files.items():
+            (tmp_path / name).write_bytes(content)
+        result = run_cli(*args, cwd=tmp_path)
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert [line for line in result.stderr.splitlines() if line.startswith("Error")] \
+            == [result.stderr.splitlines()[-1]]
+        assert message in result.stderr
+        assert result.stdout == ""

@@ -1,5 +1,7 @@
 """Transform synthesis vs the direct-matrix oracle, and phase encoding."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,16 @@ class TestConcentrationSweep:
         with pytest.raises(ValueError):
             concentration_sweep(4, 1)
 
+    def test_default_sweep_allocation_peak(self):
+        # chunks of (1 << 14) >> n rows hold about 256 KiB of amplitudes
+        tracemalloc.start()
+        try:
+            concentration_sweep(8, 10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
     def test_block_encoding_matches_scalar(self):
         block = phase_encode_block(np.array([0.3, 0.7]), 3)
         np.testing.assert_allclose(block[0], phase_encode(0.3, 3).amps, atol=1e-15)
@@ -215,9 +227,9 @@ class TestConcentrationSweep:
 
 class TestClosedFormDistribution:
     """Inverse transform of an encoded phase against the phase-estimation
-    distribution, at register sizes far beyond the dense-matrix oracle. From
-    n = 14 the first controlled-phase runs have more partners than one fused
-    factor holds, so they take several passes."""
+    distribution, at register sizes far beyond the dense-matrix oracle. Above
+    n = 12 the last diagonal steps name more qubits than one phase table
+    holds, so they split into runs that share a qubit."""
 
     @pytest.mark.parametrize("n", [12, 16, 20, 22])
     def test_dyadic_phase(self, n):

@@ -1,5 +1,8 @@
-"""Statevector register: basis states, gate kernels, dense-matrix oracle."""
+"""Statevector register: basis states, the gate engine, dense-matrix oracle."""
 
+import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -10,14 +13,18 @@ from spinwhiten import errors, statevector
 from spinwhiten.qft import inverse_qft_circuit, phase_encode, qft_circuit
 from spinwhiten.statevector import (
     Circuit,
+    DenseStep,
+    DiagonalStep,
     GateOp,
     apply_circuit,
     apply_gate,
+    compile_circuit,
     dense_matrix,
     new_state,
     probabilities,
 )
 
+from conftest import subprocess_env
 from oracles import circuit_matrix
 
 INV_SQRT2 = 1 / np.sqrt(2)
@@ -178,8 +185,9 @@ class TestDenseMatrix:
 
 
 class TestFusedPhaseRuns:
-    """Runs of controlled phases on one shared qubit are applied as one
-    diagonal factor; the Kronecker-product oracle applies them gate by gate."""
+    """Runs of controlled phases on one shared qubit, which the engine folds
+    into window unitaries and phase tables; the Kronecker-product oracle
+    applies them gate by gate."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_gate_by_gate_oracle(self, seed):
@@ -201,7 +209,7 @@ class TestFusedPhaseRuns:
             assert np.abs(dense_matrix(circuit) - circuit_matrix(circuit)).max() <= 1e-12
 
     def test_twenty_qubit_inverse_transform_allocation_peak(self):
-        # the output copy (16 MiB) plus one half-state temporary (8 MiB)
+        # the output copy (16 MiB) plus the dense steps' 256 KiB scratch tile
         state = phase_encode(0.3, 20)
         circuit = inverse_qft_circuit(20)
         tracemalloc.start()
@@ -210,7 +218,113 @@ class TestFusedPhaseRuns:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 25 * 2**20
+        assert peak < 18 * 2**20
+
+
+class TestWindowedEngine:
+    """Registers of 7 or more qubits span several windows, so the compiled
+    schedule mixes dense window steps, diagonal steps and the swaps'
+    permutation; the Kronecker-product oracle applies the gates one by one."""
+
+    @pytest.mark.parametrize("n", [7, 8, 9])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_crossing_circuits_match_oracle(self, n, seed):
+        circuit = _crossing_circuit(n, seed)
+        assert np.abs(dense_matrix(circuit) - circuit_matrix(circuit)).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [7, 8, 9])
+    def test_random_circuits_match_oracle(self, n):
+        circuit = _random_circuit(n, 60, seed=40 + n)
+        assert np.abs(dense_matrix(circuit) - circuit_matrix(circuit)).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [7, 8, 9])
+    def test_transform_ladders_match_oracle(self, n):
+        for circuit in (qft_circuit(n), inverse_qft_circuit(n)):
+            assert np.abs(dense_matrix(circuit) - circuit_matrix(circuit)).max() <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_state_path_matches_oracle(self, seed):
+        # apply_circuit permutes in its output copy; dense_matrix permutes
+        # the block in place
+        circuit = _crossing_circuit(8, 50 + seed)
+        state = _random_state(8, seed)
+        expected = circuit_matrix(circuit) @ state.amps
+        assert np.abs(apply_circuit(state, circuit).amps - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("bits", [1, 2, 3])
+    def test_diagonal_steps_split_into_runs(self, bits, monkeypatch):
+        # a small table cap turns each cross-window phase group into runs
+        # that share a qubit, and long runs into several tables
+        monkeypatch.setattr(statevector, "_MAX_FACTOR_BITS", bits)
+        for circuit in (inverse_qft_circuit(8), _crossing_circuit(8, 7)):
+            assert np.abs(dense_matrix(circuit) - circuit_matrix(circuit)).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [8, 20, 22])
+    def test_inverse_transform_schedule_shape(self, n):
+        schedule = compile_circuit(inverse_qft_circuit(n))
+        windows = math.ceil(n / 6)
+        kinds = [type(step) for step in schedule.steps]
+        assert kinds == [DenseStep, DiagonalStep] * (windows - 1) + [DenseStep]
+        # the floor(n/2) swaps are one bit-reversal permutation, not passes
+        assert schedule.axes == tuple(reversed(range(n)))
+
+    def test_swaps_that_cancel_leave_no_permutation(self):
+        circuit = Circuit(8, (GateOp.swap(1, 6), GateOp.hadamard(1), GateOp.swap(6, 1)))
+        schedule = compile_circuit(circuit)
+        assert schedule.axes == tuple(range(8))
+        assert [step.lo for step in schedule.steps] == [4]
+
+    def test_hadamard_free_windows_run_as_phase_tables(self):
+        circuit = Circuit(8, (GateOp.controlled_phase(0, 1, order=2),
+                              GateOp.phase_shift(5, order=3, dagger=True),
+                              GateOp.controlled_phase(2, 6, order=4)))
+        assert all(isinstance(step, DiagonalStep)
+                   for step in compile_circuit(circuit).steps)
+        assert np.abs(dense_matrix(circuit) - circuit_matrix(circuit)).max() <= 1e-12
+
+    def test_twenty_qubit_inverse_transform_runs_on_one_thread(self):
+        # process CPU time counts every BLAS thread, and hypervisor steal only
+        # adds wall time; a fresh process keeps out the spinning BLAS threads
+        # that the oracle's large matrix products leave behind
+        script = (
+            "import time\n"
+            "from spinwhiten.qft import inverse_qft_circuit, phase_encode\n"
+            "from spinwhiten.statevector import apply_circuit\n"
+            "state, circuit = phase_encode(0.3, 20), inverse_qft_circuit(20)\n"
+            "cpu, wall = time.process_time(), time.perf_counter()\n"
+            "apply_circuit(state, circuit)\n"
+            "print(time.process_time() - cpu, time.perf_counter() - wall)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                text=True, env=subprocess_env(), check=True)
+        cpu, wall = map(float, result.stdout.split())
+        assert cpu <= 1.3 * wall
+
+
+def _crossing_circuit(n, seed, depth=48):
+    """Seeded circuit for n <= 12 (two windows: the first ceil(n/2) qubits and
+    the rest) whose swaps and controlled phases join one qubit of each
+    window, mixed with Hadamards and phase shifts, so swaps fall after other
+    gates and relabel the qubits of later ones."""
+    rng = np.random.default_rng(seed)
+    split = -(-n // 2)
+    gates = []
+    for _ in range(depth):
+        a, b = int(rng.integers(0, split)), int(rng.integers(split, n))
+        if rng.integers(0, 2):
+            a, b = b, a
+        kind = int(rng.integers(0, 4))
+        if kind == 0:
+            gates.append(GateOp.hadamard(a))
+        elif kind == 1:
+            gates.append(GateOp.phase_shift(a, order=int(rng.integers(1, 8)),
+                                            dagger=bool(rng.integers(0, 2))))
+        elif kind == 2:
+            gates.append(GateOp.controlled_phase(a, b, order=int(rng.integers(1, 8)),
+                                                 dagger=bool(rng.integers(0, 2))))
+        else:
+            gates.append(GateOp.swap(a, b))
+    return Circuit(n, tuple(gates))
 
 
 def _phase_run_circuit(n, seed, runs=8):
