@@ -7,25 +7,9 @@ concentrate it back onto a basis state with the inverse quantum Fourier
 transform — measured against conventional acquisition with signal averaging.
 """
 
-from .ensemble import (
-    QubitDensity,
-    SpinEnsemble,
-    dephase,
-    gz_whiten,
-    pulse90,
-    receiver_signal,
-    thermal_polarization,
-)
+from .ensemble import SpinEnsemble, gz_whiten, pulse90, receiver_signal
 from .program import PulseProgram, RunReport, check, execute, format_program, parse
-from .qft import (
-    PhaseSample,
-    QftSpec,
-    dft_matrix,
-    inverse_qft_circuit,
-    peak_readout,
-    phase_encode,
-    qft_circuit,
-)
+from .qft import dft_matrix, peak_readout, phase_encode, qft_circuit
 from .signal import (
     FidTrace,
     SnrReport,
@@ -36,7 +20,6 @@ from .signal import (
     enhancement_report,
     estimate_snr,
     fft,
-    ifft,
     spin_budget_chain,
     synth_fid,
 )
@@ -45,7 +28,6 @@ from .statevector import (
     GateOp,
     StateVector,
     apply_circuit,
-    apply_gate,
     dense_matrix,
     new_state,
     probabilities,
@@ -57,10 +39,7 @@ __all__ = [
     "Circuit",
     "FidTrace",
     "GateOp",
-    "PhaseSample",
     "PulseProgram",
-    "QftSpec",
-    "QubitDensity",
     "RunReport",
     "SnrReport",
     "SpectralLine",
@@ -69,11 +48,9 @@ __all__ = [
     "SpinEnsemble",
     "StateVector",
     "apply_circuit",
-    "apply_gate",
     "cat_average",
     "check",
     "dense_matrix",
-    "dephase",
     "dft_matrix",
     "enhancement_report",
     "estimate_snr",
@@ -81,8 +58,6 @@ __all__ = [
     "fft",
     "format_program",
     "gz_whiten",
-    "ifft",
-    "inverse_qft_circuit",
     "new_state",
     "parse",
     "peak_readout",
@@ -93,5 +68,4 @@ __all__ = [
     "receiver_signal",
     "spin_budget_chain",
     "synth_fid",
-    "thermal_polarization",
 ]

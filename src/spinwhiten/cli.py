@@ -8,11 +8,12 @@ Subcommands tie the simulator into reproducible experiments:
     budget      staged spin-population table
     peak-sweep  concentration of the inverse transform over a phase grid
 
-Exit codes: 0 success, 2 syntax/usage error, 3 protocol error, 4 I/O error,
-5 verification failure. Identical invocations (same flags, same seeds) write
-byte-identical files: all randomness is counter-based and floats print with
-17 significant digits. Defaults may be set in an optional `spinwhiten.conf`
-(key=value lines) in the working directory; flags win over the file.
+Exit codes: 0 success, 2 syntax/usage error (a request too large for memory
+among them), 3 protocol error, 4 I/O error, 5 verification failure.
+Identical invocations (same flags, same seeds) write byte-identical files:
+all randomness is counter-based and floats print with 17 significant digits.
+Defaults may be set in an optional `spinwhiten.conf` (key=value lines) in the
+working directory; flags win over the file.
 """
 
 from __future__ import annotations
@@ -29,7 +30,12 @@ from . import signal as sig
 from .errors import ProtocolError, PulseSyntaxError, SpinWhitenError
 from .program import Encode, check, execute, parse
 from .qft import concentration_sweep, dft_matrix, qft_circuit
-from .statevector import ABSOLUTE_MAX_QUBITS, ORACLE_MAX_QUBITS, dense_matrix
+from .statevector import (
+    ABSOLUTE_MAX_QUBITS,
+    DEFAULT_MAX_QUBITS,
+    ORACLE_MAX_QUBITS,
+    dense_matrix,
+)
 
 EXIT_SYNTAX = 2
 EXIT_PROTOCOL = 3
@@ -41,7 +47,7 @@ CONFIG_NAME = "spinwhiten.conf"
 
 @dataclass
 class CliConfig:
-    max_qubits: int = 24
+    max_qubits: int = DEFAULT_MAX_QUBITS
     default_ensemble_size: int = 10**6
     output_format: str = "json"
     out_path: str | None = None
@@ -106,7 +112,19 @@ def _g17(value: float) -> str:
     return f"{value:.17g}"
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group; any subcommand whose arrays do not fit in memory
+    exits 2 with one Error line instead of a traceback."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except MemoryError as exc:
+            click.echo(f"Error: out of memory ({exc})", err=True)
+            sys.exit(EXIT_SYNTAX)
+
+
+@click.group(cls=_Main)
 @click.option("--config", "config_path", type=click.Path(path_type=Path), default=None,
               help=f"Config file (default: ./{CONFIG_NAME} when present).")
 @click.pass_context

@@ -16,25 +16,18 @@ scheme of Tang (ACM TOMS 1989). `receiver_signal` streams the whitened
 phases into it 8192 spins at a time, so memory stays flat in M. Measured
 against the explicit cos/sin sum, the mean agrees within 6e-18, and a
 freshly pulsed ensemble reads exactly 1.
-
-`dephase` is the density-matrix face of the same physics: averaging the
-random phase factor over [0, 1) kills the off-diagonal elements of a qubit
-state while leaving populations untouched.
 """
 
 from __future__ import annotations
 
 import enum
 from collections.abc import Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import rng
-from .errors import NonPositiveInput, NotTransverse
-
-HBAR = 1.054571817e-34  # J*s
-KB = 1.380649e-23  # J/K
+from .errors import NotTransverse
 
 TWO_PI = 2.0 * np.pi
 
@@ -185,49 +178,3 @@ def _sum_phasor_blocks(blocks: Iterable[np.ndarray]) -> complex:
         im += np.dot(table_sin, cos_r) + np.dot(table_cos, sin_r)
     return complex(re, im)
 
-
-@dataclass(frozen=True)
-class QubitDensity:
-    """2x2 density matrix, validated on construction."""
-
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        if m.shape != (2, 2):
-            raise ValueError(f"density matrix must be 2x2, got {m.shape}")
-        if np.abs(m - m.conj().T).max() > 1e-12:
-            raise ValueError("density matrix must be Hermitian within 1e-12")
-        if abs(m.trace() - 1.0) > 1e-12:
-            raise ValueError("density matrix trace must be 1 within 1e-12")
-        if np.linalg.eigvalsh(m).min() < -1e-12:
-            raise ValueError("density matrix must be positive semidefinite")
-        object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def from_bloch(cls, x: float, y: float, z: float) -> "QubitDensity":
-        """rho = (I + x*X + y*Y + z*Z) / 2 for a Bloch vector of length <= 1."""
-        return cls(0.5 * np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]]))
-
-
-def dephase(rho: QubitDensity) -> QubitDensity:
-    """Full phase-damping channel: zero the coherences, keep the populations.
-
-    This is the average of exp(2*pi*i*gamma) * rho_offdiag over gamma uniform
-    in [0, 1); it is exactly idempotent.
-    """
-    return QubitDensity(np.diag(np.diag(rho.matrix)))
-
-
-def thermal_polarization(field_t: float, temp_k: float, gyromag_ratio: float) -> float:
-    """Boltzmann polarization p = tanh(hbar * gamma_g * B / (2 * kB * T)).
-
-    Monotone increasing in field, decreasing in temperature; the tiny value
-    for protons at laboratory fields (~4e-5 at 11.7 T, 300 K) is the
-    sensitivity bottleneck of conventional acquisition.
-    """
-    for name, value in (("field_t", field_t), ("temp_k", temp_k),
-                        ("gyromag_ratio", gyromag_ratio)):
-        if value <= 0:
-            raise NonPositiveInput(f"{name} must be > 0, got {value}")
-    return float(np.tanh(HBAR * gyromag_ratio * field_t / (2.0 * KB * temp_k)))

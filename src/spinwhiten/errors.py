@@ -37,10 +37,6 @@ class NotTransverse(SpinWhitenError):
     """Operation requires every spin in the transverse plane."""
 
 
-class NonPositiveInput(SpinWhitenError):
-    """Physical parameter must be strictly positive."""
-
-
 # --- signal path ------------------------------------------------------------
 
 class NotPowerOfTwo(SpinWhitenError):

@@ -31,7 +31,7 @@ import numpy as np
 from . import rng
 from .ensemble import SpinEnsemble, gz_whiten, pulse90 as apply_pulse90, receiver_signal, with_seed
 from .errors import ProtocolError, PulseSyntaxError
-from .qft import peak_readout, phase_encode, qft_circuit, QftSpec
+from .qft import peak_readout, phase_encode, qft_circuit
 from .statevector import DEFAULT_MAX_QUBITS, StateVector, apply_circuit, probabilities
 
 _NAME_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
@@ -265,13 +265,9 @@ class RunReport:
     histogram: np.ndarray | None = None
     peak: tuple[int, float] | None = None
 
-    def to_json_dict(self, include_timings: bool = False) -> dict:
-        stages = []
-        for stage in self.stages:
-            entry = {"line": stage.line_no, "op": stage.op, "detail": stage.detail}
-            if include_timings:
-                entry["elapsed_s"] = stage.elapsed_s
-            stages.append(entry)
+    def to_json_dict(self) -> dict:
+        stages = [{"line": stage.line_no, "op": stage.op, "detail": stage.detail}
+                  for stage in self.stages]
         doc = {
             "source": self.source_name,
             "ensemble_size": self.ensemble_size,
@@ -359,9 +355,8 @@ def execute(
             active_register = stmt.register
             detail = f"register {stmt.register}, qubits {stmt.qubits}, gamma={last_gamma:.17g}"
         elif isinstance(stmt, (Qft, Iqft)):
-            inverse = isinstance(stmt, Iqft)
             state = registers[stmt.register]
-            circuit = qft_circuit(QftSpec(state.num_qubits, inverse=inverse))
+            circuit = qft_circuit(state.num_qubits, inverse=isinstance(stmt, Iqft))
             registers[stmt.register] = apply_circuit(state, circuit)
             active_register = stmt.register
             detail = f"register {stmt.register}, {len(circuit.gates)} gates"

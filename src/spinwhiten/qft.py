@@ -1,16 +1,15 @@
 """Fourier-transform circuits and phase-encoded register states.
 
-`qft_circuit` synthesizes the transform mapping |x> to
-2^{-n/2} * sum_y exp(2*pi*i*x*y / 2^n) |y> out of Hadamard, controlled-phase
-and bit-reversal swap gates; `dft_matrix` evaluates the same unitary directly
-from that formula and serves as the independent oracle. `phase_encode` builds
-the register state carrying a phase fraction gamma, which the inverse
-transform concentrates near basis index round(gamma * 2^n).
+`qft_circuit(n, inverse)` synthesizes the transform mapping |x> to
+2^{-n/2} * sum_y exp(2*pi*i*x*y / 2^n) |y>, or its inverse, out of Hadamard,
+controlled-phase and bit-reversal swap gates; `dft_matrix` evaluates the
+forward unitary directly from that formula and serves as the independent
+oracle. `phase_encode` builds the register state carrying a phase fraction
+gamma, which the inverse transform concentrates near basis index
+round(gamma * 2^n).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,67 +26,27 @@ from .statevector import (
 )
 
 
-@dataclass(frozen=True)
-class QftSpec:
-    """Synthesis request: register size, direction, and swap policy.
-
-    With `include_bit_reversal_swaps` the circuit's unitary IS the transform
-    matrix; without, outputs appear in bit-reversed order (useful for gate
-    count studies).
-    """
-
-    num_qubits: int
-    inverse: bool = False
-    include_bit_reversal_swaps: bool = True
-
-    def __post_init__(self):
-        # circuits are cheap; the memory guard lives on state construction
-        if not 1 <= self.num_qubits <= ABSOLUTE_MAX_QUBITS:
-            raise QubitCountExceeded(
-                f"qubit count {self.num_qubits} outside [1, {ABSOLUTE_MAX_QUBITS}]"
-            )
-
-
-@dataclass(frozen=True)
-class PhaseSample:
-    """A phase fraction in [0, 1), as produced by whitening."""
-
-    gamma: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
-
-
-def qft_circuit(spec: QftSpec | int) -> Circuit:
-    """Fourier-transform circuit for a QftSpec (an int means forward, swaps on).
+def qft_circuit(n: int, inverse: bool = False) -> Circuit:
+    """Fourier-transform circuit on n qubits, or its inverse.
 
     The forward ladder applies, for each qubit j from the top, a Hadamard and
     then controlled phases of order m = k - j + 1 from every lower qubit k;
-    the swap layer restores natural bit order. The inverse is the exact
-    reversal with conjugated phases, so both directions use n Hadamards,
-    n(n-1)/2 controlled phases of orders 2..n, and floor(n/2) swaps.
+    the swap layer restores natural bit order, so the circuit's unitary IS
+    the transform matrix. The inverse is the exact reversal with conjugated
+    phases, so both directions use n Hadamards, n(n-1)/2 controlled phases
+    of orders 2..n, and floor(n/2) swaps.
     """
-    if isinstance(spec, int):
-        spec = QftSpec(spec)
-    n = spec.num_qubits
+    # circuits are cheap; the memory guard lives on state construction
+    if not 1 <= n <= ABSOLUTE_MAX_QUBITS:
+        raise QubitCountExceeded(f"qubit count {n} outside [1, {ABSOLUTE_MAX_QUBITS}]")
     ladder: list[GateOp] = []
     for j in range(n):
         ladder.append(GateOp.hadamard(j))
         for k in range(j + 1, n):
-            ladder.append(
-                GateOp.controlled_phase(k, j, order=k - j + 1, dagger=spec.inverse)
-            )
+            ladder.append(GateOp.controlled_phase(k, j, order=k - j + 1, dagger=inverse))
     swaps = [GateOp.swap(j, n - 1 - j) for j in range(n // 2)]
-    if spec.inverse:
-        gates = swaps + ladder[::-1] if spec.include_bit_reversal_swaps else ladder[::-1]
-    else:
-        gates = ladder + swaps if spec.include_bit_reversal_swaps else ladder
+    gates = swaps + ladder[::-1] if inverse else ladder + swaps
     return Circuit(n, tuple(gates))
-
-
-def inverse_qft_circuit(n: int) -> Circuit:
-    return qft_circuit(QftSpec(n, inverse=True))
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -103,17 +62,13 @@ def dft_matrix(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(idx, idx) / dim) / np.sqrt(dim)
 
 
-def phase_encode(
-    gamma: PhaseSample | float, n: int, max_qubits: int = DEFAULT_MAX_QUBITS
-) -> StateVector:
+def phase_encode(gamma: float, n: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
     """Register state 2^{-n/2} * sum_x exp(2*pi*i*gamma*x) |x>.
 
     For dyadic gamma = k / 2^n this equals the forward transform of |k>, so
     the inverse transform recovers |k> exactly.
     """
-    if isinstance(gamma, PhaseSample):
-        gamma = gamma.gamma
-    elif not 0.0 <= gamma < 1.0:
+    if not 0.0 <= gamma < 1.0:
         raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
     if not 1 <= n <= max_qubits:
         raise QubitCountExceeded(f"qubit count {n} outside [1, {max_qubits}]")
@@ -144,29 +99,29 @@ def peak_readout(state: StateVector) -> tuple[int, float]:
     return outcome, float(probs[outcome])
 
 
-def concentration_sweep(
-    n: int, grid_points: int, chunk_rows: int | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def concentration_sweep(n: int, grid_points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Inverse-transform concentration over the grid gamma = j / grid_points.
 
     Encodes every grid phase, runs each through the inverse transform circuit
-    (compiled once, then applied to chunks of rows of about 256 KiB, which
-    stay in cache through every pass), and returns (gammas, argmax indices,
+    (compiled once, then applied to chunks of (1 << 14) >> n rows, about
+    256 KiB, which stay in cache through every pass; each chunk is permuted
+    into one buffer allocated up front), and returns (gammas, argmax indices,
     peak probabilities). This is the empirical probe of how sharply a
     randomized phase concentrates onto one basis state.
     """
     if grid_points < 2:
         raise ValueError(f"grid must have at least 2 points, got {grid_points}")
-    schedule = compile_circuit(qft_circuit(QftSpec(n, inverse=True)))
+    schedule = compile_circuit(qft_circuit(n, inverse=True))
     gammas = np.arange(grid_points) / grid_points
-    if chunk_rows is None:
-        chunk_rows = max(1, (1 << 14) >> n)
+    chunk = max(1, (1 << 14) >> n)
+    buffer = np.empty((min(chunk, grid_points), 1 << n), dtype=np.complex128)
     argmax = np.empty(grid_points, dtype=np.int64)
     peaks = np.empty(grid_points, dtype=np.float64)
-    for start in range(0, grid_points, chunk_rows):
-        block = phase_encode_block(gammas[start : start + chunk_rows], n)
-        schedule.apply_block(block)
+    for start in range(0, grid_points, chunk):
+        encoded = phase_encode_block(gammas[start : start + chunk], n)
+        block = buffer[: len(encoded)]
+        schedule.apply(encoded, block)
         probs = block.real * block.real + block.imag * block.imag
-        argmax[start : start + chunk_rows] = probs.argmax(axis=1)
-        peaks[start : start + chunk_rows] = probs.max(axis=1)
+        argmax[start : start + chunk] = probs.argmax(axis=1)
+        peaks[start : start + chunk] = probs.max(axis=1)
     return gammas, argmax, peaks

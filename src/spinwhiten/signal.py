@@ -45,10 +45,6 @@ class FidTrace:
             raise NotPowerOfTwo(f"trace length {len(self.samples)} is not a power of two >= 2")
         _check_dwell(self.dwell_s)
 
-    @property
-    def nyquist_hz(self) -> float:
-        return 0.5 / self.dwell_s
-
 
 @dataclass
 class Spectrum:
@@ -81,14 +77,6 @@ class SnrReport:
     noise_rms: float
     snr: float
     n_averages: int = 1
-
-    def to_json_dict(self) -> dict:
-        return {
-            "peak_mag": self.peak_mag,
-            "noise_rms": self.noise_rms,
-            "snr": self.snr,
-            "n_averages": self.n_averages,
-        }
 
 
 def _check_dwell(dwell_s: float) -> None:
@@ -154,13 +142,6 @@ def fft(trace: FidTrace) -> Spectrum:
     """Forward transform (unnormalized) into the frequency domain."""
     length = len(trace.samples)
     return Spectrum(fourier.fft_forward(trace.samples), 1.0 / (length * trace.dwell_s))
-
-
-def ifft(spectrum: Spectrum) -> FidTrace:
-    """Inverse of `fft`, recovering dwell from the bin width."""
-    length = len(spectrum.bins)
-    dwell = 1.0 / (length * spectrum.bin_width_hz)
-    return FidTrace(fourier.fft_inverse(spectrum.bins), dwell)
 
 
 def cat_average(traces: Iterable[FidTrace]) -> FidTrace:
@@ -404,13 +385,3 @@ def loglog_slope(rows: list[tuple[int, float, float]]) -> float | None:
     x = x - x.mean()
     return float((x @ (y - y.mean())) / (x @ x))
 
-
-def spectrum_to_csv(spectrum: Spectrum) -> str:
-    """RFC-4180-style CSV: bin_index, freq_Hz, re, im, magnitude."""
-    out = ["bin_index,freq_Hz,re,im,magnitude"]
-    for k, value in enumerate(spectrum.bins):
-        freq = k * spectrum.bin_width_hz
-        out.append(
-            f"{k},{freq:.17g},{value.real:.17g},{value.imag:.17g},{abs(value):.17g}"
-        )
-    return "\n".join(out) + "\n"

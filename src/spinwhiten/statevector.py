@@ -13,9 +13,10 @@ which is what an inverse transform needs while keeping m positive.
 `Circuit` keeps the gate list as written; every register operation runs it
 through `compile_circuit`, which turns it into a `Schedule` once per call:
 
-- the swaps become one permutation of the qubit axes, applied first (in the
-  output copy of `apply_circuit`), and every later gate is relabeled to the
-  axis that then holds its qubit;
+- the swaps become one permutation of the qubit axes, applied first as the
+  copy `Schedule.apply(src, dst)` makes from its input block into its output
+  block, and every later gate is relabeled to the axis that then holds its
+  qubit;
 - the register is cut into ceil(n / 6) near-equal windows of adjacent
   qubits, and the gates inside one window become one dense 2**k unitary,
   built from the exact per-gate matrices and applied by one stacked
@@ -145,17 +146,14 @@ class StateVector:
     num_qubits: int
     amps: np.ndarray = field(repr=False)
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.num_qubits, self.amps.copy())
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
 
-def new_state(n: int, basis_index: int = 0, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
+def new_state(n: int, basis_index: int = 0) -> StateVector:
     """Computational basis state |basis_index> of an n-qubit register."""
-    if n < 1 or n > max_qubits:
-        raise QubitCountExceeded(f"qubit count {n} outside [1, {max_qubits}]")
+    if n < 1 or n > DEFAULT_MAX_QUBITS:
+        raise QubitCountExceeded(f"qubit count {n} outside [1, {DEFAULT_MAX_QUBITS}]")
     dim = 1 << n
     if not 0 <= basis_index < dim:
         raise IndexOutOfRange(f"basis index {basis_index} outside [0, {dim})")
@@ -320,21 +318,17 @@ class Schedule:
     axes: tuple[int, ...]
     steps: tuple[DenseStep | DiagonalStep, ...]
 
-    def permute(self, src: np.ndarray, dst: np.ndarray) -> None:
-        """dst = src with the qubit axes permuted; both (batch, 2**n)."""
+    def apply(self, src: np.ndarray, dst: np.ndarray) -> None:
+        """dst = the schedule applied to every row of src, both C-contiguous
+        (batch, 2**n) blocks.
+
+        The copy of src into dst is the permutation; the steps then run in
+        place on dst. src is left untouched.
+        """
         shape = (src.shape[0],) + (2,) * self.num_qubits
         dst.reshape(shape)[...] = src.reshape(shape).transpose(0, *(1 + a for a in self.axes))
-
-    def run_steps(self, block: np.ndarray) -> None:
-        """Apply the steps, not the permutation, in place to every row."""
         for step in self.steps:
-            step.apply(block)
-
-    def apply_block(self, block: np.ndarray) -> None:
-        """Apply the whole schedule in place to a (batch, 2**n) block."""
-        if self.axes != tuple(range(self.num_qubits)):
-            self.permute(block.copy(), block)
-        self.run_steps(block)
+            step.apply(dst)
 
 
 @dataclass
@@ -416,18 +410,6 @@ def compile_circuit(circuit: Circuit) -> Schedule:
 
 # --- public operations -------------------------------------------------------
 
-def apply_circuit_block(block: np.ndarray, circuit: Circuit) -> None:
-    """Apply a circuit in place to every row of a (batch, 2**n) amplitude
-    block: compile it, permute the block once if its swaps do not cancel,
-    then run the dense and diagonal steps."""
-    compile_circuit(circuit).apply_block(block)
-
-
-def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
-    """Apply one gate, returning a new state; the input is left untouched."""
-    return apply_circuit(state, Circuit(state.num_qubits, (gate,)))
-
-
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     """Apply a circuit's gates in list order, returning a new state; the
     output copy is also the swaps' one permutation."""
@@ -435,11 +417,8 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
         raise QubitCountMismatch(
             f"circuit has {circuit.num_qubits} qubits, state has {state.num_qubits}"
         )
-    schedule = compile_circuit(circuit)
     out = StateVector(state.num_qubits, np.empty_like(state.amps))
-    block = out.amps[np.newaxis, :]
-    schedule.permute(state.amps[np.newaxis, :], block)
-    schedule.run_steps(block)
+    compile_circuit(circuit).apply(state.amps[np.newaxis, :], out.amps[np.newaxis, :])
     return out
 
 
@@ -462,6 +441,7 @@ def dense_matrix(circuit: Circuit) -> np.ndarray:
         )
     # Row b of the block is the basis state |b>; after the sweep, row b holds
     # the amplitudes of U|b>, i.e. the block is U transposed.
-    block = np.eye(1 << n, dtype=np.complex128)
-    apply_circuit_block(block, circuit)
+    basis = np.eye(1 << n, dtype=np.complex128)
+    block = np.empty_like(basis)
+    compile_circuit(circuit).apply(basis, block)
     return block.T.copy()

@@ -293,3 +293,25 @@ class TestUnreadableInput:
             == [result.stderr.splitlines()[-1]]
         assert message in result.stderr
         assert result.stdout == ""
+
+
+class TestOversizedRequest:
+    """A request whose first large array exceeds the 2**47-byte user address
+    space, which no allocator can grant, exits 2 with one Error line instead
+    of a MemoryError traceback."""
+
+    @pytest.mark.parametrize("args", [
+        ("run", "big.pp", "--ensemble-size", "10"),  # 8e14 B of shot draws
+        ("peak-sweep", "--qubits", "4", "--grid", str(10**14)),  # 8e14 B of grid
+        ("cat", "--n-list", str(10**14), "--seeds", "1"),  # 8e14 B of shot seeds
+        ("cat", "--length", str(1 << 45), "--n-list", "1", "--seeds", "1"),  # 2**48 B
+    ])
+    def test_exits_two_with_one_error_line(self, tmp_path, args):
+        (tmp_path / "big.pp").write_text(
+            CANONICAL.replace("shots=4096", f"shots={10**14}"), encoding="utf-8")
+        result = run_cli(*args, cwd=tmp_path)
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("Error: out of memory")
+        assert result.stdout == ""

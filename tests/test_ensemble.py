@@ -1,4 +1,4 @@
-"""Spin ensemble: excitation, whitening statistics, dephasing channel."""
+"""Spin ensemble: excitation, whitening statistics, receiver phasor sum."""
 
 import tracemalloc
 
@@ -7,15 +7,12 @@ import pytest
 
 from spinwhiten import errors, rng
 from spinwhiten.ensemble import (
-    QubitDensity,
     SpinEnsemble,
     Stage,
-    dephase,
     gz_whiten,
     phasor_sum,
     pulse90,
     receiver_signal,
-    thermal_polarization,
     with_seed,
 )
 from oracles import explicit_receiver_signal, ks_statistic
@@ -156,78 +153,6 @@ class TestReceiverSignal:
         for phi in phases:
             got = phasor_sum(np.array([phi]))
             assert abs(got - np.exp(1j * phi)) <= 2.0 ** -52 * abs(phi) + 1e-15, phi
-
-
-class TestDephase:
-    def test_plus_state_loses_coherence(self):
-        rho = QubitDensity(np.full((2, 2), 0.5, dtype=complex))
-        np.testing.assert_allclose(dephase(rho).matrix, np.diag([0.5, 0.5]), atol=0)
-
-    def test_diagonal_state_unchanged(self):
-        rho = QubitDensity(np.diag([1.0, 0.0]).astype(complex))
-        assert np.array_equal(dephase(rho).matrix, rho.matrix)
-
-    def test_idempotent_exactly(self):
-        rho = QubitDensity.from_bloch(0.3, -0.4, 0.5)
-        once = dephase(rho)
-        assert np.array_equal(dephase(once).matrix, once.matrix)
-
-    @pytest.mark.parametrize("seed", range(20))
-    def test_preserves_trace_and_hermiticity(self, seed):
-        rng = np.random.default_rng(seed)
-        direction = rng.normal(size=3)
-        bloch = rng.uniform(0, 1) * direction / np.linalg.norm(direction)
-        out = dephase(QubitDensity.from_bloch(*bloch)).matrix
-        assert out.trace() == pytest.approx(1.0, abs=1e-15)
-        assert np.array_equal(out, out.conj().T)
-        assert np.linalg.eigvalsh(out).min() >= -1e-12
-
-
-class TestQubitDensity:
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            QubitDensity(np.array([[0.5, 0.5], [0.2, 0.5]], dtype=complex))
-
-    def test_rejects_wrong_trace(self):
-        with pytest.raises(ValueError):
-            QubitDensity(np.eye(2, dtype=complex))
-
-    def test_rejects_negative_eigenvalue(self):
-        with pytest.raises(ValueError):
-            QubitDensity(np.diag([1.5, -0.5]).astype(complex))
-
-    def test_bloch_surface_is_pure(self):
-        rho = QubitDensity.from_bloch(1.0, 0.0, 0.0).matrix
-        np.testing.assert_allclose(rho @ rho, rho, atol=1e-15)
-
-
-class TestThermalPolarization:
-    def test_protons_at_eleven_tesla(self):
-        # Frozen direct formula evaluation: tanh(hbar*gamma*B / (2*kB*T)).
-        p = thermal_polarization(11.7, 300.0, 2.675e8)
-        assert p == pytest.approx(3.984293066170639e-05, rel=1e-12)
-
-    def test_vanishes_with_field(self):
-        assert thermal_polarization(1e-12, 300.0, 2.675e8) < 1e-15
-
-    def test_monotone_in_field(self):
-        low = thermal_polarization(5.0, 300.0, 2.675e8)
-        high = thermal_polarization(10.0, 300.0, 2.675e8)
-        assert high > low
-
-    def test_monotone_in_temperature(self):
-        cold = thermal_polarization(11.7, 4.2, 2.675e8)
-        warm = thermal_polarization(11.7, 300.0, 2.675e8)
-        assert cold > warm
-
-    @pytest.mark.parametrize("bad", [
-        dict(field_t=0.0, temp_k=300.0, gyromag_ratio=2.675e8),
-        dict(field_t=11.7, temp_k=-1.0, gyromag_ratio=2.675e8),
-        dict(field_t=11.7, temp_k=300.0, gyromag_ratio=0.0),
-    ])
-    def test_rejects_non_positive(self, bad):
-        with pytest.raises(errors.NonPositiveInput):
-            thermal_polarization(**bad)
 
 
 class TestEnsembleValue:

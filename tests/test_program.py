@@ -252,11 +252,6 @@ class TestRunReportJson:
         assert sum(item["count"] for item in doc["histogram"]) == 4096
         assert doc["peak_readout"]["index"] == 5
 
-    def test_timings_opt_in(self):
-        report = execute(parse(CANONICAL), ensemble_size=20, master_seed=4)
-        doc = report.to_json_dict(include_timings=True)
-        assert all(entry["elapsed_s"] >= 0 for entry in doc["statements"])
-
     def test_histogram_lists_only_populated_bins(self):
         report = execute(parse(CANONICAL), ensemble_size=20, master_seed=4)
         doc = report.to_json_dict()

@@ -6,13 +6,9 @@ import numpy as np
 import pytest
 
 from spinwhiten import errors
-from spinwhiten.fourier import bit_reverse_indices
 from spinwhiten.qft import (
-    PhaseSample,
-    QftSpec,
     concentration_sweep,
     dft_matrix,
-    inverse_qft_circuit,
     peak_readout,
     phase_encode,
     phase_encode_block,
@@ -45,7 +41,7 @@ class TestCircuitShape:
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("inverse", [False, True])
     def test_counts_and_orders(self, n, inverse):
-        gates = qft_circuit(QftSpec(n, inverse=inverse)).gates
+        gates = qft_circuit(n, inverse=inverse).gates
         kinds = [g.kind for g in gates]
         assert kinds.count(GateKind.HADAMARD) == n
         assert kinds.count(GateKind.CONTROLLED_PHASE) == n * (n - 1) // 2
@@ -60,22 +56,15 @@ class TestCircuitShape:
             g.dagger == inverse for g in gates if g.kind is GateKind.CONTROLLED_PHASE
         )
 
-    def test_swap_free_variant_is_bit_reversed_transform(self):
-        n = 3
-        spec = QftSpec(n, include_bit_reversal_swaps=False)
-        got = dense_matrix(qft_circuit(spec))
-        rev = bit_reverse_indices(1 << n)
-        np.testing.assert_allclose(got[rev, :], dft_matrix(n), atol=1e-12)
-
     def test_transform_of_ground_state_is_uniform(self):
         out = apply_circuit(new_state(2, 0), qft_circuit(2))
         np.testing.assert_allclose(out.amps, np.full(4, 0.5), atol=1e-15)
 
     def test_size_guard(self):
         with pytest.raises(errors.QubitCountExceeded):
-            QftSpec(0)
+            qft_circuit(0)
         with pytest.raises(errors.QubitCountExceeded):
-            QftSpec(31)
+            qft_circuit(31, inverse=True)
 
 
 class TestDftMatrix:
@@ -108,7 +97,7 @@ class TestTransformEquivalence:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_inverse_matches_conjugate_transpose(self, n):
-        got = dense_matrix(qft_circuit(QftSpec(n, inverse=True)))
+        got = dense_matrix(qft_circuit(n, inverse=True))
         assert np.abs(got - dft_matrix(n).conj().T).max() <= 1e-12
 
     @pytest.mark.parametrize("n", [2, 5, 8, 10])
@@ -119,7 +108,7 @@ class TestTransformEquivalence:
         state = new_state(n, 0)
         state.amps[:] = amps
         back = apply_circuit(
-            apply_circuit(state, qft_circuit(n)), inverse_qft_circuit(n)
+            apply_circuit(state, qft_circuit(n)), qft_circuit(n, inverse=True)
         )
         assert np.abs(back.amps - amps).max() <= 1e-9
 
@@ -144,27 +133,21 @@ class TestPhaseEncode:
 
     @pytest.mark.parametrize("n,k", [(2, 1), (3, 3), (5, 17), (8, 200)])
     def test_inverse_transform_recovers_dyadic_index(self, n, k):
-        state = apply_circuit(phase_encode(k / (1 << n), n), inverse_qft_circuit(n))
+        state = apply_circuit(phase_encode(k / (1 << n), n), qft_circuit(n, inverse=True))
         outcome, prob = peak_readout(state)
         assert outcome == k
         assert prob >= 1 - 1e-12
 
     def test_phase_sample_validation(self):
         with pytest.raises(ValueError):
-            PhaseSample(1.0)
+            phase_encode(1.0, 3)
         with pytest.raises(ValueError):
             phase_encode(-0.1, 3)
-
-    def test_accepts_phase_sample(self):
-        np.testing.assert_allclose(
-            phase_encode(PhaseSample(0.25), 2).amps,
-            phase_encode(0.25, 2).amps,
-        )
 
 
 class TestPeakReadout:
     def test_exact_dyadic_case(self):
-        state = apply_circuit(phase_encode(3 / 8, 3), inverse_qft_circuit(3))
+        state = apply_circuit(phase_encode(3 / 8, 3), qft_circuit(3, inverse=True))
         outcome, prob = peak_readout(state)
         assert outcome == 3
         assert prob == pytest.approx(1.0, abs=1e-12)
@@ -176,28 +159,30 @@ class TestPeakReadout:
     def test_rounding_noise_does_not_break_a_tie(self):
         # qft then iqft gives back a uniform distribution, up to rounding
         state = phase_encode(0.3, 5)
-        state = apply_circuit(apply_circuit(state, qft_circuit(5)), inverse_qft_circuit(5))
+        state = apply_circuit(apply_circuit(state, qft_circuit(5)), qft_circuit(5, inverse=True))
         probs = probabilities(state)
         assert np.ptp(probs) > 0  # not bit-exact, so a plain argmax is noise
         assert peak_readout(state) == (0, pytest.approx(1 / 32, rel=1e-12))
 
     def test_non_tie_follows_rounding_rule(self):
         gamma, n = 0.3, 4
-        state = apply_circuit(phase_encode(gamma, n), inverse_qft_circuit(n))
+        state = apply_circuit(phase_encode(gamma, n), qft_circuit(n, inverse=True))
         assert peak_readout(state)[0] == round(gamma * (1 << n))
 
 
 class TestConcentrationSweep:
     def test_matches_single_state_path(self):
-        n, grid = 4, 37
-        gammas, argmax, peaks = concentration_sweep(n, grid, chunk_rows=5)
-        for j in (0, 7, 18, 36):
-            state = apply_circuit(
-                phase_encode(gammas[j], n), inverse_qft_circuit(n)
-            )
-            outcome, prob = peak_readout(state)
-            assert argmax[j] == outcome
-            assert peaks[j] == pytest.approx(prob, rel=1e-12)
+        # two full chunks of (1 << 14) >> n rows and a partial third: the
+        # chunk buffer is reused, so the last rows must hold no stale ones
+        for n in (4, 8):
+            chunk = (1 << 14) >> n
+            grid = 2 * chunk + 3
+            gammas, argmax, peaks = concentration_sweep(n, grid)
+            for j in (0, chunk - 1, chunk, grid - 1):
+                state = apply_circuit(phase_encode(gammas[j], n), qft_circuit(n, inverse=True))
+                probs = probabilities(state)
+                assert argmax[j] == probs.argmax()
+                assert peaks[j] == pytest.approx(probs.max(), rel=1e-12)
 
     def test_argmax_follows_rounding_rule(self):
         n, grid = 5, 1000
@@ -234,7 +219,7 @@ class TestClosedFormDistribution:
     @pytest.mark.parametrize("n", [12, 16, 20, 22])
     def test_dyadic_phase(self, n):
         gamma = ((5 << (n - 4)) + 3) / (1 << n)
-        state = apply_circuit(phase_encode(gamma, n), inverse_qft_circuit(n))
+        state = apply_circuit(phase_encode(gamma, n), qft_circuit(n, inverse=True))
         expected = phase_estimation_distribution(gamma, n)
         assert np.abs(probabilities(state) - expected).max() <= 1e-12
 
@@ -244,12 +229,12 @@ class TestClosedFormDistribution:
         # circuit's own rounding is measured
         gamma = 1 / 3
         state = StateVector(n, exact_phase_state(gamma, n))
-        probs = probabilities(apply_circuit(state, inverse_qft_circuit(n)))
+        probs = probabilities(apply_circuit(state, qft_circuit(n, inverse=True)))
         expected = phase_estimation_distribution(gamma, n)
         assert np.abs(probs - expected).max() <= 1e-12
 
     def test_phase_encode_non_dyadic_at_twelve_qubits(self):
         gamma = 1 / 3
-        state = apply_circuit(phase_encode(gamma, 12), inverse_qft_circuit(12))
+        state = apply_circuit(phase_encode(gamma, 12), qft_circuit(12, inverse=True))
         expected = phase_estimation_distribution(gamma, 12)
         assert np.abs(probabilities(state) - expected).max() <= 1e-12

@@ -10,7 +10,6 @@ from spinwhiten import errors, rng, signal
 from spinwhiten.signal import (
     DEFAULT_BUDGET,
     FidTrace,
-    SnrReport,
     SpectralLine,
     Spectrum,
     SpinBudget,
@@ -20,9 +19,7 @@ from spinwhiten.signal import (
     enhancement_report,
     estimate_snr,
     fft,
-    ifft,
     loglog_slope,
-    spectrum_to_csv,
     spin_budget_chain,
     synth_fid,
 )
@@ -111,13 +108,6 @@ class TestTraceAndSpectrum:
         spectrum = fft(synth_fid([], 256, dwell_s=1e-3))
         assert spectrum.bin_width_hz == pytest.approx(1 / (256 * 1e-3))
 
-    def test_ifft_round_trip_recovers_trace(self):
-        trace = synth_fid([SpectralLine(0.125, 2.0, 5.0)], 64, 1.0,
-                          noise_sigma=0.3, seed=4)
-        back = ifft(fft(trace))
-        assert np.abs(back.samples - trace.samples).max() <= 1e-9
-        assert back.dwell_s == pytest.approx(trace.dwell_s, rel=1e-12)
-
     def test_trace_validation(self):
         with pytest.raises(errors.NotPowerOfTwo):
             FidTrace(np.zeros(3, dtype=complex), 1.0)
@@ -203,11 +193,6 @@ class TestEstimateSnr:
             return estimate_snr(fft(trace), (30, 35), (128, 224)).snr
 
         assert snr_of(2.0) / snr_of(1.0) == pytest.approx(2.0, rel=0.05)
-
-    def test_json_fields(self):
-        doc = SnrReport(10.0, 1.0, 10.0, 4).to_json_dict()
-        assert doc == {"peak_mag": 10.0, "noise_rms": 1.0, "snr": 10.0,
-                       "n_averages": 4}
 
 
 class TestSpinBudget:
@@ -296,18 +281,6 @@ class TestCatExperiment:
         a = cat_experiment([1, 2], n_seeds=5, master_seed=9)
         b = cat_experiment([1, 2], n_seeds=5, master_seed=9)
         assert a == b
-
-
-def test_spectrum_csv_shape():
-    spectrum = fft(synth_fid([SpectralLine(0.25)], 8, 1.0))
-    text = spectrum_to_csv(spectrum)
-    lines = text.strip().split("\n")
-    assert lines[0] == "bin_index,freq_Hz,re,im,magnitude"
-    assert len(lines) == 9
-    assert text.endswith("\n")
-    fields = lines[3].split(",")
-    assert int(fields[0]) == 2
-    assert float(fields[1]) == pytest.approx(2 * 0.125)
 
 
 class TestBatchedCatMatchesPerShotSynthesis:

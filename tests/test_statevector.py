@@ -10,14 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinwhiten import errors, statevector
-from spinwhiten.qft import inverse_qft_circuit, phase_encode, qft_circuit
+from spinwhiten.qft import phase_encode, qft_circuit
 from spinwhiten.statevector import (
     Circuit,
     DenseStep,
     DiagonalStep,
     GateOp,
     apply_circuit,
-    apply_gate,
     compile_circuit,
     dense_matrix,
     new_state,
@@ -28,6 +27,10 @@ from conftest import subprocess_env
 from oracles import circuit_matrix
 
 INV_SQRT2 = 1 / np.sqrt(2)
+
+
+def _apply_one(state, gate):
+    return apply_circuit(state, Circuit(state.num_qubits, (gate,)))
 
 
 class TestNewState:
@@ -47,18 +50,14 @@ class TestNewState:
         with pytest.raises(errors.QubitCountExceeded):
             new_state(0, 0)
 
-    def test_custom_max_qubits(self):
-        with pytest.raises(errors.QubitCountExceeded):
-            new_state(5, 0, max_qubits=4)
-
 
 class TestApplyGate:
     def test_hadamard_on_zero(self):
-        out = apply_gate(new_state(1, 0), GateOp.hadamard(0))
+        out = _apply_one(new_state(1, 0), GateOp.hadamard(0))
         np.testing.assert_allclose(out.amps, [INV_SQRT2, INV_SQRT2], atol=1e-15)
 
     def test_hadamard_on_one(self):
-        out = apply_gate(new_state(1, 1), GateOp.hadamard(0))
+        out = _apply_one(new_state(1, 1), GateOp.hadamard(0))
         np.testing.assert_allclose(out.amps, [INV_SQRT2, -INV_SQRT2], atol=1e-15)
 
     def test_hadamard_is_involution(self):
@@ -67,48 +66,48 @@ class TestApplyGate:
         amps /= np.linalg.norm(amps)
         state = new_state(1, 0)
         state.amps[:] = amps
-        twice = apply_gate(apply_gate(state, GateOp.hadamard(0)), GateOp.hadamard(0))
+        twice = _apply_one(_apply_one(state, GateOp.hadamard(0)), GateOp.hadamard(0))
         np.testing.assert_allclose(twice.amps, amps, atol=1e-12)
 
     def test_controlled_phase_order_one_flips_sign_of_11(self):
-        out = apply_gate(new_state(2, 3), GateOp.controlled_phase(0, 1, order=1))
+        out = _apply_one(new_state(2, 3), GateOp.controlled_phase(0, 1, order=1))
         np.testing.assert_allclose(out.amps, [0, 0, 0, -1], atol=1e-15)
 
     def test_controlled_phase_leaves_other_basis_states(self):
         for idx in (0, 1, 2):
-            out = apply_gate(new_state(2, idx), GateOp.controlled_phase(0, 1, order=1))
+            out = _apply_one(new_state(2, idx), GateOp.controlled_phase(0, 1, order=1))
             np.testing.assert_allclose(out.amps, new_state(2, idx).amps, atol=1e-15)
 
     def test_controlled_phase_dagger_conjugates(self):
         gate = GateOp.controlled_phase(0, 1, order=3)
         dag = GateOp.controlled_phase(0, 1, order=3, dagger=True)
-        state = apply_gate(new_state(2, 3), gate)
+        state = _apply_one(new_state(2, 3), gate)
         np.testing.assert_allclose(
-            apply_gate(state, dag).amps, new_state(2, 3).amps, atol=1e-15
+            _apply_one(state, dag).amps, new_state(2, 3).amps, atol=1e-15
         )
 
     def test_phase_shift_targets_one_component(self):
-        state = apply_gate(new_state(1, 0), GateOp.hadamard(0))
-        out = apply_gate(state, GateOp.phase_shift(0, order=2))
+        state = _apply_one(new_state(1, 0), GateOp.hadamard(0))
+        out = _apply_one(state, GateOp.phase_shift(0, order=2))
         np.testing.assert_allclose(out.amps, [INV_SQRT2, 1j * INV_SQRT2], atol=1e-15)
 
     def test_swap_exchanges_bits(self):
         # qubit 0 is the MSB: |01> = index 1 maps to |10> = index 2
-        out = apply_gate(new_state(2, 1), GateOp.swap(0, 1))
+        out = _apply_one(new_state(2, 1), GateOp.swap(0, 1))
         np.testing.assert_allclose(out.amps, new_state(2, 2).amps, atol=1e-15)
 
     def test_qubit0_is_most_significant(self):
-        out = apply_gate(new_state(2, 0), GateOp.hadamard(0))
+        out = _apply_one(new_state(2, 0), GateOp.hadamard(0))
         np.testing.assert_allclose(out.amps, [INV_SQRT2, 0, INV_SQRT2, 0], atol=1e-15)
 
     def test_input_state_untouched(self):
         state = new_state(1, 0)
-        apply_gate(state, GateOp.hadamard(0))
+        _apply_one(state, GateOp.hadamard(0))
         assert state.amps.tolist() == [1, 0]
 
     def test_invalid_qubit_index(self):
         with pytest.raises(errors.InvalidQubitIndex):
-            apply_gate(new_state(2, 0), GateOp.hadamard(2))
+            _apply_one(new_state(2, 0), GateOp.hadamard(2))
 
     def test_gate_factory_validation(self):
         with pytest.raises(errors.InvalidQubitIndex):
@@ -148,7 +147,7 @@ class TestProbabilities:
     def test_uniform_superposition(self):
         state = new_state(2, 0)
         for q in range(2):
-            state = apply_gate(state, GateOp.hadamard(q))
+            state = _apply_one(state, GateOp.hadamard(q))
         np.testing.assert_allclose(probabilities(state), [0.25] * 4, atol=1e-15)
 
     def test_sums_to_one(self):
@@ -196,7 +195,7 @@ class TestFusedPhaseRuns:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_transform_ladders_match_oracle(self, n):
-        for circuit in (qft_circuit(n), inverse_qft_circuit(n)):
+        for circuit in (qft_circuit(n), qft_circuit(n, inverse=True)):
             assert np.abs(dense_matrix(circuit) - circuit_matrix(circuit)).max() <= 1e-12
 
     @pytest.mark.parametrize("bits", [1, 2, 3])
@@ -211,7 +210,7 @@ class TestFusedPhaseRuns:
     def test_twenty_qubit_inverse_transform_allocation_peak(self):
         # the output copy (16 MiB) plus the dense steps' 256 KiB scratch tile
         state = phase_encode(0.3, 20)
-        circuit = inverse_qft_circuit(20)
+        circuit = qft_circuit(20, inverse=True)
         tracemalloc.start()
         try:
             apply_circuit(state, circuit)
@@ -239,13 +238,13 @@ class TestWindowedEngine:
 
     @pytest.mark.parametrize("n", [7, 8, 9])
     def test_transform_ladders_match_oracle(self, n):
-        for circuit in (qft_circuit(n), inverse_qft_circuit(n)):
+        for circuit in (qft_circuit(n), qft_circuit(n, inverse=True)):
             assert np.abs(dense_matrix(circuit) - circuit_matrix(circuit)).max() <= 1e-12
 
     @pytest.mark.parametrize("seed", range(3))
     def test_state_path_matches_oracle(self, seed):
-        # apply_circuit permutes in its output copy; dense_matrix permutes
-        # the block in place
+        # both run Schedule.apply: apply_circuit on one row, dense_matrix
+        # on the rows of the identity
         circuit = _crossing_circuit(8, 50 + seed)
         state = _random_state(8, seed)
         expected = circuit_matrix(circuit) @ state.amps
@@ -256,12 +255,12 @@ class TestWindowedEngine:
         # a small table cap turns each cross-window phase group into runs
         # that share a qubit, and long runs into several tables
         monkeypatch.setattr(statevector, "_MAX_FACTOR_BITS", bits)
-        for circuit in (inverse_qft_circuit(8), _crossing_circuit(8, 7)):
+        for circuit in (qft_circuit(8, inverse=True), _crossing_circuit(8, 7)):
             assert np.abs(dense_matrix(circuit) - circuit_matrix(circuit)).max() <= 1e-12
 
     @pytest.mark.parametrize("n", [8, 20, 22])
     def test_inverse_transform_schedule_shape(self, n):
-        schedule = compile_circuit(inverse_qft_circuit(n))
+        schedule = compile_circuit(qft_circuit(n, inverse=True))
         windows = math.ceil(n / 6)
         kinds = [type(step) for step in schedule.steps]
         assert kinds == [DenseStep, DiagonalStep] * (windows - 1) + [DenseStep]
@@ -288,9 +287,9 @@ class TestWindowedEngine:
         # that the oracle's large matrix products leave behind
         script = (
             "import time\n"
-            "from spinwhiten.qft import inverse_qft_circuit, phase_encode\n"
+            "from spinwhiten.qft import phase_encode, qft_circuit\n"
             "from spinwhiten.statevector import apply_circuit\n"
-            "state, circuit = phase_encode(0.3, 20), inverse_qft_circuit(20)\n"
+            "state, circuit = phase_encode(0.3, 20), qft_circuit(20, inverse=True)\n"
             "cpu, wall = time.process_time(), time.perf_counter()\n"
             "apply_circuit(state, circuit)\n"
             "print(time.process_time() - cpu, time.perf_counter() - wall)\n"
@@ -396,10 +395,10 @@ def test_every_gate_preserves_norm(seed, n):
     rng = np.random.default_rng(seed)
     state = _random_state(n, seed)
     gate = _random_gate(n, rng)
-    assert abs(apply_gate(state, gate).norm() - 1.0) <= 1e-12
+    assert abs(_apply_one(state, gate).norm() - 1.0) <= 1e-12
 
 
-def test_apply_gate_deterministic():
+def test_single_gate_deterministic():
     state = _random_state(5, seed=9)
     gate = GateOp.controlled_phase(1, 3, order=4)
-    assert np.array_equal(apply_gate(state, gate).amps, apply_gate(state, gate).amps)
+    assert np.array_equal(_apply_one(state, gate).amps, _apply_one(state, gate).amps)
