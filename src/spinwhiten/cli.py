@@ -9,7 +9,9 @@ Subcommands tie the simulator into reproducible experiments:
     peak-sweep  concentration of the inverse transform over a phase grid
 
 Exit codes: 0 success, 2 syntax/usage error (a request too large for memory
-among them), 3 protocol error, 4 I/O error, 5 verification failure.
+among them), 3 protocol error, 4 I/O error, 5 verification failure. One table
+(`_EXIT_CODES`) maps exceptions to codes, with one `Error: ...` stderr line;
+click reports bad flags itself, and any other exception is a bug (traceback).
 Identical invocations (same flags, same seeds) write byte-identical files:
 all randomness is counter-based and floats print with 17 significant digits.
 Defaults may be set in an optional `spinwhiten.conf` (key=value lines) in the
@@ -27,8 +29,8 @@ import click
 import numpy as np
 
 from . import signal as sig
-from .errors import ProtocolError, PulseSyntaxError, SpinWhitenError
-from .program import Encode, check, execute, parse
+from .errors import ProtocolError, QubitCountExceeded, SpinWhitenError
+from .program import execute, parse
 from .qft import concentration_sweep, dft_matrix, qft_circuit
 from .statevector import (
     ABSOLUTE_MAX_QUBITS,
@@ -65,17 +67,16 @@ class CliConfig:
 
 
 def load_config(path: Path | None) -> CliConfig:
-    """Read key=value config; missing file means defaults."""
+    """Read key=value config; without --config, a missing file means defaults."""
     cfg = CliConfig()
-    candidate = path if path is not None else Path(CONFIG_NAME)
-    if not candidate.is_file():
-        if path is not None:
-            raise click.UsageError(f"config file not found: {path}")
-        return cfg
+    if path is None:
+        path = Path(CONFIG_NAME)
+        if not path.is_file():
+            return cfg
     try:
-        text = candidate.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise click.UsageError(f"config file {candidate} is not UTF-8 text: {exc}") from exc
+        raise click.UsageError(f"config file {path} is not UTF-8 text: {exc}") from exc
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -100,28 +101,35 @@ def load_config(path: Path | None) -> CliConfig:
 
 
 def _write_text(path: str, text: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-    except OSError as exc:
-        click.echo(f"cannot write {path}: {exc}", err=True)
-        sys.exit(EXIT_IO)
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
 def _g17(value: float) -> str:
     return f"{value:.17g}"
 
 
+# Exception class -> exit code, first match wins. A bare ValueError is left
+# out on purpose: it means a bug, so it keeps its traceback.
+_EXIT_CODES = {
+    ProtocolError: EXIT_PROTOCOL,
+    QubitCountExceeded: EXIT_PROTOCOL,
+    SpinWhitenError: EXIT_SYNTAX,
+    OSError: EXIT_IO,
+    MemoryError: EXIT_SYNTAX,
+}
+
+
 class _Main(click.Group):
-    """The command group; any subcommand whose arrays do not fit in memory
-    exits 2 with one Error line instead of a traceback."""
+    """The command group, and the one place where exceptions become exit codes."""
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except MemoryError as exc:
-            click.echo(f"Error: out of memory ({exc})", err=True)
-            sys.exit(EXIT_SYNTAX)
+        except tuple(_EXIT_CODES) as exc:
+            code = next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+            message = f"out of memory ({exc})" if isinstance(exc, MemoryError) else exc
+            click.echo(f"Error: {message}", err=True)
+            sys.exit(code)
 
 
 @click.group(cls=_Main)
@@ -151,30 +159,12 @@ def cmd_run(cfg: CliConfig, program_path: str, seed: int | None,
     output_format = output_format or cfg.output_format
     try:
         source = Path(program_path).read_text(encoding="utf-8")
-    except OSError as exc:
-        click.echo(f"cannot read program {program_path}: {exc}", err=True)
-        sys.exit(EXIT_IO)
     except UnicodeDecodeError as exc:
         raise click.UsageError(f"program {program_path} is not UTF-8 text: {exc}") from exc
-    try:
-        program = check(parse(source, source_name=program_path))
-        for stmt in program.statements:
-            if isinstance(stmt, Encode) and stmt.qubits > cfg.max_qubits:
-                raise ProtocolError(
-                    stmt.line_no,
-                    f"register of {stmt.qubits} qubits exceeds max_qubits={cfg.max_qubits}",
-                )
-    except PulseSyntaxError as exc:
-        click.echo(f"{program_path}:{exc}", err=True)
-        sys.exit(EXIT_SYNTAX)
-    except ProtocolError as exc:
-        click.echo(f"{program_path}:{exc}", err=True)
-        sys.exit(EXIT_PROTOCOL)
+    program = parse(source, source_name=program_path)
     report = execute(program, ensemble_size, seed, max_qubits=cfg.max_qubits)
 
-    if out_path is None:
-        out_path = cfg.out_path or ("run_report.json" if output_format == "json"
-                                    else "run_report.csv")
+    out_path = out_path or cfg.out_path or f"run_report.{output_format}"
     if output_format == "json":
         _write_text(out_path, json.dumps(report.to_json_dict(), indent=2) + "\n")
     else:
@@ -205,7 +195,7 @@ def cmd_qft_verify(max_n: int):
         worst = max(worst, error)
         click.echo(f"{n},{_g17(error)}")
     if worst > 1e-12:
-        click.echo(f"verification FAILED: max error {_g17(worst)} > 1e-12", err=True)
+        click.echo(f"Error: verification failed: max error {_g17(worst)} > 1e-12", err=True)
         sys.exit(EXIT_VERIFY)
     click.echo(f"all transforms within 1e-12 (worst {_g17(worst)})")
 
@@ -235,21 +225,18 @@ def cmd_cat(cfg: CliConfig, n_list: str, seeds: int, line_spec: str, noise: floa
     if not counts or min(counts) < 1:
         raise click.UsageError("--n-list needs positive integers")
     seed = cfg.master_seed if seed is None else seed
-    try:
-        rows = sig.cat_experiment(
-            counts, seeds, master_seed=seed,
-            line=sig.SpectralLine(freq, amp, t2),
-            noise_sigma=noise, length=length, dwell_s=dwell,
-        )
-    except SpinWhitenError as exc:
-        raise click.UsageError(str(exc)) from exc
+    rows = sig.cat_experiment(
+        counts, seeds, master_seed=seed,
+        line=sig.SpectralLine(freq, amp, t2),
+        noise_sigma=noise, length=length, dwell_s=dwell,
+    )
     csv = ["N,mean_snr,std_snr"]
     csv += [f"{n},{_g17(mean)},{_g17(std)}" for n, mean, std in rows]
     text = "\n".join(csv) + "\n"
     _write_text(out_path or cfg.out_path or "cat_snr.csv", text)
     slope = sig.loglog_slope(rows)
     if slope is None:
-        click.echo("log-log slope: not applicable (need >= 2 averaging counts)")
+        click.echo("log-log slope: not applicable (need >= 2 distinct averaging counts)")
     else:
         click.echo(f"log-log slope: {_g17(slope)}")
     click.echo(f"csv written to {out_path or cfg.out_path or 'cat_snr.csv'}")
@@ -273,10 +260,7 @@ def cmd_budget(overrides: str | None):
                 stages[key] = int(value)
             except ValueError as exc:
                 raise click.UsageError(f"stage exponent must be integer: {part!r}") from exc
-    try:
-        chain = sig.spin_budget_chain(sig.SpinBudget(tuple(stages.items())))
-    except SpinWhitenError as exc:
-        raise click.UsageError(str(exc)) from exc
+    chain = sig.spin_budget_chain(sig.SpinBudget(tuple(stages.items())))
     click.echo("stage,cumulative_exponent,population")
     for stage in chain:
         click.echo(f"{stage.label},{stage.exponent},{stage.population}")

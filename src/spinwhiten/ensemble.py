@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng
-from .errors import NotTransverse
+from .errors import NotTransverse, OutOfRange
 
 TWO_PI = 2.0 * np.pi
 
@@ -65,7 +65,7 @@ class SpinEnsemble:
 
     def __post_init__(self):
         if self.count < 1:
-            raise ValueError(f"spin count must be >= 1, got {self.count}")
+            raise OutOfRange(f"spin count must be >= 1, got {self.count}")
 
     @classmethod
     def longitudinal(cls, count: int, seed: int) -> "SpinEnsemble":

@@ -67,8 +67,8 @@ class ZeroNoiseFloor(SpinWhitenError):
     """Noise window RMS is indistinguishable from zero."""
 
 
-class OutOfRange(SpinWhitenError):
-    """Numeric argument outside its documented range."""
+class OutOfRange(SpinWhitenError, ValueError):
+    """Numeric argument or result outside its documented range."""
 
 
 # --- pulse-program DSL ------------------------------------------------------
@@ -76,11 +76,11 @@ class OutOfRange(SpinWhitenError):
 class PulseSyntaxError(SpinWhitenError):
     """Malformed pulse-program source.
 
-    Carries the 1-based line and column of the offending token.
+    Carries the source name and the 1-based line and column of the token.
     """
 
-    def __init__(self, line: int, column: int, message: str):
-        super().__init__(f"line {line}, column {column}: {message}")
+    def __init__(self, line: int, column: int, message: str, source: str = "<string>"):
+        super().__init__(f"{source}:line {line}, column {column}: {message}")
         self.line = line
         self.column = column
         self.message = message
@@ -89,10 +89,10 @@ class PulseSyntaxError(SpinWhitenError):
 class ProtocolError(SpinWhitenError):
     """Statement order violates the acquisition protocol.
 
-    Carries the 1-based line of the offending statement.
+    Carries the source name and the 1-based line of the offending statement.
     """
 
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, line: int, message: str, source: str = "<string>"):
+        super().__init__(f"{source}:line {line}: {message}")
         self.line = line
         self.message = message

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import rng
 from .ensemble import SpinEnsemble, gz_whiten, pulse90 as apply_pulse90, receiver_signal, with_seed
-from .errors import ProtocolError, PulseSyntaxError
+from .errors import OutOfRange, ProtocolError, PulseSyntaxError, QubitCountExceeded
 from .qft import peak_readout, phase_encode, qft_circuit
 from .statevector import DEFAULT_MAX_QUBITS, StateVector, apply_circuit, probabilities
 
@@ -135,7 +135,15 @@ def _check_arity(tokens: list[_Token], line_no: int, keyword: str, count: int) -
 
 
 def parse(source_text: str, source_name: str = "<string>") -> PulseProgram:
-    """Parse source into an AST; every statement keeps its 1-based line."""
+    """Parse source into an AST; every statement keeps its 1-based line, and a
+    PulseSyntaxError names `source_name` with the line and column."""
+    try:
+        return PulseProgram(tuple(_parse_statements(source_text)), source_name)
+    except PulseSyntaxError as exc:
+        raise PulseSyntaxError(exc.line, exc.column, exc.message, source_name) from None
+
+
+def _parse_statements(source_text: str) -> list[Statement]:
     statements: list[Statement] = []
     for line_no, line in enumerate(source_text.splitlines(), start=1):
         tokens = _tokenize(line)
@@ -179,7 +187,7 @@ def parse(source_text: str, source_name: str = "<string>") -> PulseProgram:
             raise PulseSyntaxError(
                 line_no, keyword.column, f"unknown keyword {keyword.text!r}"
             )
-    return PulseProgram(tuple(statements), source_name)
+    return statements
 
 
 def format_program(program: PulseProgram) -> str:
@@ -202,41 +210,39 @@ def format_program(program: PulseProgram) -> str:
     return "\n".join(lines) + "\n"
 
 
-def check(program: PulseProgram) -> PulseProgram:
-    """Enforce protocol order; returns the program unchanged when valid."""
+def check(program: PulseProgram, max_qubits: int = DEFAULT_MAX_QUBITS) -> PulseProgram:
+    """Enforce protocol order and the register-size limit; returns the program
+    unchanged. Raises ProtocolError, or QubitCountExceeded for a register wider
+    than `max_qubits`; either names the program's source and line."""
     pulsed: set[str] = set()
     whitened: set[str] = set()
     encoded: set[str] = set()
     for stmt in program.statements:
+        problem = None
         if isinstance(stmt, Pulse90):
             pulsed.add(stmt.target)
         elif isinstance(stmt, Whiten):
             if stmt.target not in pulsed:
-                raise ProtocolError(
-                    stmt.line_no,
-                    f"whiten {stmt.target!r} before pulse90: only transverse "
-                    "spins can be phase-whitened",
-                )
+                problem = (f"whiten {stmt.target!r} before pulse90: only transverse "
+                           "spins can be phase-whitened")
             whitened.add(stmt.target)
         elif isinstance(stmt, Encode):
             if not whitened:
-                raise ProtocolError(
-                    stmt.line_no,
-                    "encode before any whiten: no whitened target phase to encode",
+                problem = "encode before any whiten: no whitened target phase to encode"
+            elif stmt.qubits > max_qubits:
+                raise QubitCountExceeded(
+                    f"{program.source_name}:line {stmt.line_no}: register of "
+                    f"{stmt.qubits} qubits exceeds max_qubits={max_qubits}"
                 )
             encoded.add(stmt.register)
         elif isinstance(stmt, (Qft, Iqft)):
-            keyword = "qft" if isinstance(stmt, Qft) else "iqft"
             if stmt.register not in encoded:
-                raise ProtocolError(
-                    stmt.line_no,
-                    f"{keyword} on register {stmt.register!r} before encode",
-                )
-        elif isinstance(stmt, Acquire):
-            if not encoded:
-                raise ProtocolError(
-                    stmt.line_no, "acquire before any register was encoded"
-                )
+                keyword = type(stmt).__name__.lower()
+                problem = f"{keyword} on register {stmt.register!r} before encode"
+        elif not encoded:  # Acquire
+            problem = "acquire before any register was encoded"
+        if problem:
+            raise ProtocolError(stmt.line_no, problem, program.source_name)
     return program
 
 
@@ -302,7 +308,7 @@ def execute(
     master_seed: int,
     max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> RunReport:
-    """Run a checked program; raises ProtocolError on order violations.
+    """Run a program after `check(program, max_qubits)` passes.
 
     Per-statement semantics: pulse90/whiten act on the named target ensemble
     (created on first pulse90 with a seed derived from the master seed unless
@@ -311,9 +317,9 @@ def execute(
     register; qft/iqft transform the register; acquire samples the most
     recently touched register.
     """
-    check(program)
+    check(program, max_qubits)
     if ensemble_size < 1:
-        raise ValueError(f"ensemble size must be >= 1, got {ensemble_size}")
+        raise OutOfRange(f"ensemble size must be >= 1, got {ensemble_size}")
     ensembles: dict[str, SpinEnsemble] = {}
     registers: dict[str, StateVector] = {}
     receiver: dict[str, dict[str, float]] = {}
@@ -351,7 +357,7 @@ def execute(
             receiver.setdefault(stmt.target, {})["after_whiten"] = after
             detail = f"target {stmt.target}, |receiver|={after:.17g}"
         elif isinstance(stmt, Encode):
-            registers[stmt.register] = phase_encode(last_gamma, stmt.qubits, max_qubits)
+            registers[stmt.register] = phase_encode(last_gamma, stmt.qubits)
             active_register = stmt.register
             detail = f"register {stmt.register}, qubits {stmt.qubits}, gamma={last_gamma:.17g}"
         elif isinstance(stmt, (Qft, Iqft)):

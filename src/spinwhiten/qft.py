@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import OracleScaleExceeded, QubitCountExceeded
+from .errors import OracleScaleExceeded, OutOfRange, QubitCountExceeded
 from .statevector import (
     ABSOLUTE_MAX_QUBITS,
-    DEFAULT_MAX_QUBITS,
     ORACLE_MAX_QUBITS,
     Circuit,
     GateOp,
@@ -62,16 +61,16 @@ def dft_matrix(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(idx, idx) / dim) / np.sqrt(dim)
 
 
-def phase_encode(gamma: float, n: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
+def phase_encode(gamma: float, n: int) -> StateVector:
     """Register state 2^{-n/2} * sum_x exp(2*pi*i*gamma*x) |x>.
 
     For dyadic gamma = k / 2^n this equals the forward transform of |k>, so
     the inverse transform recovers |k> exactly.
     """
     if not 0.0 <= gamma < 1.0:
-        raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
-    if not 1 <= n <= max_qubits:
-        raise QubitCountExceeded(f"qubit count {n} outside [1, {max_qubits}]")
+        raise OutOfRange(f"gamma must lie in [0, 1), got {gamma}")
+    if not 1 <= n <= ABSOLUTE_MAX_QUBITS:
+        raise QubitCountExceeded(f"qubit count {n} outside [1, {ABSOLUTE_MAX_QUBITS}]")
     amps = phase_encode_block(np.array([gamma]), n)[0]
     return StateVector(n, amps)
 
@@ -110,7 +109,7 @@ def concentration_sweep(n: int, grid_points: int) -> tuple[np.ndarray, np.ndarra
     randomized phase concentrates onto one basis state.
     """
     if grid_points < 2:
-        raise ValueError(f"grid must have at least 2 points, got {grid_points}")
+        raise OutOfRange(f"grid must have at least 2 points, got {grid_points}")
     schedule = compile_circuit(qft_circuit(n, inverse=True))
     gammas = np.arange(grid_points) / grid_points
     chunk = max(1, (1 << 14) >> n)

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import OutOfRange
+
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15  # 2^64 / golden ratio, rounded to odd
 _MULT1 = 0xBF58476D1CE4E5B9
@@ -137,10 +139,10 @@ def seed_for_gamma(gamma: float, index: int = 0) -> int:
     `uniform01` can produce.
     """
     if not 0.0 <= gamma < 1.0:
-        raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
+        raise OutOfRange(f"gamma must lie in [0, 1), got {gamma}")
     scaled = gamma / _U53_SCALE
     top53 = int(scaled)
     if float(top53) != scaled:
-        raise ValueError(f"gamma {gamma!r} is not of the form k / 2**53")
+        raise OutOfRange(f"gamma {gamma!r} is not of the form k / 2**53")
     word = top53 << 11
     return (invert_mix64(word) - (index + 1) * GOLDEN) & MASK64

@@ -176,7 +176,8 @@ def estimate_snr(
     """Peak magnitude over a window divided by noise RMS over another.
 
     Windows are half-open bin ranges [start, stop); they must be non-empty,
-    inside the spectrum, and disjoint.
+    inside the spectrum, and disjoint. A peak, noise RMS or ratio that is not
+    finite (the spectrum overflowed) raises OutOfRange.
     """
     mags = np.abs(spectrum.bins)
     for name, (start, stop) in (("peak", peak_window), ("noise", noise_window)):
@@ -191,7 +192,10 @@ def estimate_snr(
     noise_rms = float(np.sqrt(np.mean(noise_bins * noise_bins)))
     if noise_rms < 1e-300:
         raise ZeroNoiseFloor("noise window RMS is zero")
-    return SnrReport(peak_mag, noise_rms, peak_mag / noise_rms, n_averages)
+    snr = peak_mag / noise_rms
+    if not all(map(math.isfinite, (peak_mag, noise_rms, snr))):
+        raise OutOfRange(f"SNR not finite: peak {peak_mag:g}, noise RMS {noise_rms:g}")
+    return SnrReport(peak_mag, noise_rms, snr, n_averages)
 
 
 # --- spin budget and enhancement bookkeeping --------------------------------
@@ -310,13 +314,15 @@ def cat_snr(
     lands in DEFAULT_NOISE_WINDOW raises OutOfRange.
     """
     _check_noise_sigma(noise_sigma)
-    clean = synth_fid([line], length, dwell_s)
-    averaged = cat_average(_cat_shots(clean, n_shots, seed, noise_sigma))
-    spectrum = fft(averaged)
-    _check_line_bin(line, length, dwell_s)
-    report = estimate_snr(
-        spectrum, DEFAULT_PEAK_WINDOW, DEFAULT_NOISE_WINDOW, n_averages=n_shots
-    )
+    # overflow near the float limit is refused by estimate_snr, not warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        clean = synth_fid([line], length, dwell_s)
+        averaged = cat_average(_cat_shots(clean, n_shots, seed, noise_sigma))
+        spectrum = fft(averaged)
+        _check_line_bin(line, length, dwell_s)
+        report = estimate_snr(
+            spectrum, DEFAULT_PEAK_WINDOW, DEFAULT_NOISE_WINDOW, n_averages=n_shots
+        )
     return report.snr
 
 
@@ -377,8 +383,8 @@ def cat_experiment(
 
 
 def loglog_slope(rows: list[tuple[int, float, float]]) -> float | None:
-    """OLS slope of log(mean snr) against log(N); None below two points."""
-    if len(rows) < 2:
+    """OLS slope of log(mean snr) against log(N); None below two distinct N."""
+    if len({n for n, _, _ in rows}) < 2:
         return None
     x = np.log([n for n, _, _ in rows])
     y = np.log([mean for _, mean, _ in rows])

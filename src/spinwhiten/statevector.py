@@ -44,6 +44,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidQubitIndex,
     OracleScaleExceeded,
+    OutOfRange,
     QubitCountExceeded,
     QubitCountMismatch,
 )
@@ -117,7 +118,7 @@ def _check_qubit_args(*qubits: int) -> None:
 
 def _check_order(order: int) -> None:
     if order < 1:
-        raise ValueError(f"phase order must be a positive integer, got {order}")
+        raise OutOfRange(f"phase order must be a positive integer, got {order}")
 
 
 @dataclass(frozen=True)

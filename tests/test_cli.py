@@ -192,6 +192,9 @@ class TestCat:
         (("--line", "125,inf,inf"), "amplitude"),
         (("--length", "512"), "peak window"),  # 125 Hz lands in bin 64
         (("--line", "200,1,inf"), "peak window"),  # bin 51
+        (("--noise", "1e308"), "not finite"),  # the noise overflows to inf
+        (("--line", "125,1e308,inf"), "not finite"),  # the average overflows
+        (("--noise", "1e200"), "not finite"),  # squaring the noise bins overflows
     ])
     def test_invalid_input_is_usage_error(self, tmp_path, args, message):
         result = run_cli("cat", "--n-list", "1,2", *args, "--out", "cat.csv", cwd=tmp_path)
@@ -201,6 +204,24 @@ class TestCat:
         assert [line for line in result.stderr.splitlines() if line.startswith("Error")] \
             == [result.stderr.splitlines()[-1]]
         assert not (tmp_path / "cat.csv").exists()
+
+
+    @pytest.mark.parametrize("args", [
+        ("--noise", "1e308"), ("--line", "125,1e308,inf"), ("--noise", "1e200"),
+    ])
+    def test_overflow_is_one_error_line_without_warning(self, tmp_path, args):
+        result = run_cli("cat", "--n-list", "1,2", "--seeds", "2", *args, cwd=tmp_path)
+        assert result.returncode == 2
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("Error: SNR not finite")
+        assert "nan" not in result.stdout
+
+    def test_equal_counts_have_no_slope(self, tmp_path):
+        result = run_cli("cat", "--n-list", "1,1", "--seeds", "2", cwd=tmp_path)
+        assert result.returncode == 0
+        assert "not applicable" in result.stdout
+        assert "nan" not in result.stdout
+        assert result.stderr == ""
 
 
 class TestDeterminism:

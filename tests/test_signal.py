@@ -271,6 +271,7 @@ class TestCatExperiment:
 
     def test_slope_undefined_for_single_point(self):
         assert loglog_slope([(1, 10.0, 1.0)]) is None
+        assert loglog_slope([(1, 10.0, 1.0), (1, 12.0, 1.0)]) is None
 
     def test_rejects_non_finite_noise(self):
         for sigma in (math.nan, math.inf, -1.0):
