@@ -29,7 +29,7 @@ import click
 import numpy as np
 
 from . import signal as sig
-from .errors import ProtocolError, QubitCountExceeded, SpinWhitenError
+from .errors import MalformedInput, OutOfRange, ProtocolError, QubitCountExceeded, SpinWhitenError
 from .program import execute, parse
 from .qft import concentration_sweep, dft_matrix, qft_circuit
 from .statevector import (
@@ -57,13 +57,20 @@ class CliConfig:
 
     def validate(self) -> "CliConfig":
         if not 1 <= self.max_qubits <= ABSOLUTE_MAX_QUBITS:
-            raise click.UsageError(
+            raise OutOfRange(
                 f"max_qubits {self.max_qubits} outside [1, {ABSOLUTE_MAX_QUBITS}]")
         if self.default_ensemble_size < 1:
-            raise click.UsageError("default_ensemble_size must be >= 1")
+            raise OutOfRange("default_ensemble_size must be >= 1")
         if self.output_format not in ("csv", "json"):
-            raise click.UsageError(f"unknown output_format {self.output_format!r}")
+            raise MalformedInput(f"unknown output_format {self.output_format!r}")
         return self
+
+
+def _read_text(path: Path | str, what: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"{what} {path} is not UTF-8 text: {exc}") from exc
 
 
 def load_config(path: Path | None) -> CliConfig:
@@ -73,30 +80,26 @@ def load_config(path: Path | None) -> CliConfig:
         path = Path(CONFIG_NAME)
         if not path.is_file():
             return cfg
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise click.UsageError(f"config file {path} is not UTF-8 text: {exc}") from exc
-    for raw in text.splitlines():
+    for raw in _read_text(path, "config file").splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, sep, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if not sep:
-            raise click.UsageError(f"malformed config line: {raw!r}")
+            raise MalformedInput(f"malformed config line: {raw!r}")
         if key in ("max_qubits", "default_ensemble_size", "master_seed"):
             try:
                 setattr(cfg, key, int(value))
             except ValueError as exc:
-                raise click.UsageError(
+                raise MalformedInput(
                     f"config key {key!r} needs an integer, got {value!r}") from exc
         elif key == "output_format":
             cfg.output_format = value
         elif key == "out_path":
             cfg.out_path = value
         else:
-            raise click.UsageError(f"unknown config key {key!r}")
+            raise MalformedInput(f"unknown config key {key!r}")
     return cfg.validate()
 
 
@@ -157,11 +160,7 @@ def cmd_run(cfg: CliConfig, program_path: str, seed: int | None,
     seed = cfg.master_seed if seed is None else seed
     ensemble_size = cfg.default_ensemble_size if ensemble_size is None else ensemble_size
     output_format = output_format or cfg.output_format
-    try:
-        source = Path(program_path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise click.UsageError(f"program {program_path} is not UTF-8 text: {exc}") from exc
-    program = parse(source, source_name=program_path)
+    program = parse(_read_text(program_path, "program"), source_name=program_path)
     report = execute(program, ensemble_size, seed, max_qubits=cfg.max_qubits)
 
     out_path = out_path or cfg.out_path or f"run_report.{output_format}"
@@ -221,9 +220,9 @@ def cmd_cat(cfg: CliConfig, n_list: str, seeds: int, line_spec: str, noise: floa
         counts = [int(part) for part in n_list.split(",") if part.strip()]
         freq, amp, t2 = (float(part) for part in line_spec.split(","))
     except ValueError as exc:
-        raise click.UsageError(f"malformed option: {exc}") from exc
+        raise MalformedInput(f"malformed option: {exc}") from exc
     if not counts or min(counts) < 1:
-        raise click.UsageError("--n-list needs positive integers")
+        raise OutOfRange("--n-list needs positive integers")
     seed = cfg.master_seed if seed is None else seed
     rows = sig.cat_experiment(
         counts, seeds, master_seed=seed,
@@ -232,14 +231,14 @@ def cmd_cat(cfg: CliConfig, n_list: str, seeds: int, line_spec: str, noise: floa
     )
     csv = ["N,mean_snr,std_snr"]
     csv += [f"{n},{_g17(mean)},{_g17(std)}" for n, mean, std in rows]
-    text = "\n".join(csv) + "\n"
-    _write_text(out_path or cfg.out_path or "cat_snr.csv", text)
+    out_path = out_path or cfg.out_path or "cat_snr.csv"
+    _write_text(out_path, "\n".join(csv) + "\n")
     slope = sig.loglog_slope(rows)
     if slope is None:
         click.echo("log-log slope: not applicable (need >= 2 distinct averaging counts)")
     else:
         click.echo(f"log-log slope: {_g17(slope)}")
-    click.echo(f"csv written to {out_path or cfg.out_path or 'cat_snr.csv'}")
+    click.echo(f"csv written to {out_path}")
 
 
 @main.command("budget")
@@ -251,15 +250,15 @@ def cmd_budget(overrides: str | None):
     if overrides is not None:
         parts = [part.strip() for part in overrides.split(",") if part.strip()]
         if not parts:
-            raise click.UsageError("--stages given but empty")
+            raise MalformedInput("--stages given but empty")
         for part in parts:
             key, sep, value = part.partition("=")
             if not sep or key not in stages:
-                raise click.UsageError(f"unknown or malformed stage override {part!r}")
+                raise MalformedInput(f"unknown or malformed stage override {part!r}")
             try:
                 stages[key] = int(value)
             except ValueError as exc:
-                raise click.UsageError(f"stage exponent must be integer: {part!r}") from exc
+                raise MalformedInput(f"stage exponent must be integer: {part!r}") from exc
     chain = sig.spin_budget_chain(sig.SpinBudget(tuple(stages.items())))
     click.echo("stage,cumulative_exponent,population")
     for stage in chain:
@@ -281,11 +280,12 @@ def cmd_peak_sweep(cfg: CliConfig, qubits: int, grid: int, out_path: str | None)
         f"{_g17(gamma)},{int(arg)},{_g17(peak)}"
         for gamma, arg, peak in zip(gammas, argmax, peaks)
     ]
-    _write_text(out_path or cfg.out_path or "peak_sweep.csv", "\n".join(csv) + "\n")
+    out_path = out_path or cfg.out_path or "peak_sweep.csv"
+    _write_text(out_path, "\n".join(csv) + "\n")
     j = int(peaks.argmin())
     click.echo(f"minimum peak probability: {_g17(float(peaks[j]))} "
                f"at gamma={_g17(float(gammas[j]))}")
-    click.echo(f"csv written to {out_path or cfg.out_path or 'peak_sweep.csv'}")
+    click.echo(f"csv written to {out_path}")
 
 
 if __name__ == "__main__":

@@ -71,6 +71,10 @@ class OutOfRange(SpinWhitenError, ValueError):
     """Numeric argument or result outside its documented range."""
 
 
+class MalformedInput(SpinWhitenError):
+    """Option value, config line or input file that cannot be parsed."""
+
+
 # --- pulse-program DSL ------------------------------------------------------
 
 class PulseSyntaxError(SpinWhitenError):
@@ -83,7 +87,6 @@ class PulseSyntaxError(SpinWhitenError):
         super().__init__(f"{source}:line {line}, column {column}: {message}")
         self.line = line
         self.column = column
-        self.message = message
 
 
 class ProtocolError(SpinWhitenError):
@@ -95,4 +98,3 @@ class ProtocolError(SpinWhitenError):
     def __init__(self, line: int, message: str, source: str = "<string>"):
         super().__init__(f"{source}:line {line}: {message}")
         self.line = line
-        self.message = message

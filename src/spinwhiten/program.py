@@ -11,20 +11,22 @@ line:
     acquire shots=1024
 
 Tokens are whitespace-separated; options use key=value; `#` starts a comment;
-blank lines are ignored. The checker enforces protocol order (whiten needs a
-prior 90-degree pulse on the same target, encoding needs a whitened phase,
-transforms need an encoded register, acquisition needs a register). The
-interpreter runs the program against a spin ensemble of a given size and an
-n-qubit register, and reports the acquisition histogram plus the receiver
-observable before and after whitening.
+blank lines are ignored. The table GRAMMAR below is the whole syntax, each
+keyword's statement class and arguments; parse and format_program both read
+it. The checker enforces protocol order (whiten needs a prior 90-degree pulse
+on the same target, encoding needs a whitened phase, transforms need an
+encoded register, acquisition needs a register). The interpreter runs the
+program against a spin ensemble of a given size and an n-qubit register, and
+reports the acquisition histogram plus the receiver observable before and
+after whitening.
 """
 
 from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import astuple, dataclass, field
+from typing import NoReturn, Union
 
 import numpy as np
 
@@ -87,126 +89,82 @@ class PulseProgram:
     source_name: str = field(default="<string>", compare=False)
 
 
-@dataclass
-class _Token:
-    text: str
-    column: int  # 1-based
+# The DSL's one grammar, read by both parse and format_program: each keyword
+# maps to its statement class and to that class's arguments in field order.
+# An argument is a label and one of four forms:
+NAME = "name"  # [a-z][a-z0-9_]*
+COUNT = "count"  # positional integer >= 1
+OPTION = "option"  # required label=<int >= 1>
+SEED = "seed"  # optional seed=<int>, last if present
 
-
-def _tokenize(line: str) -> list[_Token]:
-    code = line.split("#", 1)[0]
-    return [_Token(m.group(), m.start() + 1) for m in re.finditer(r"\S+", code)]
-
-
-def _expect_name(token: _Token, line_no: int, what: str) -> str:
-    if not _NAME_RE.match(token.text):
-        raise PulseSyntaxError(
-            line_no, token.column, f"expected {what} (got {token.text!r})"
-        )
-    return token.text
-
-
-def _expect_int(text: str, token: _Token, line_no: int, what: str) -> int:
-    if not _INT_RE.match(text):
-        raise PulseSyntaxError(
-            line_no, token.column, f"expected integer {what} (got {text!r})"
-        )
-    return int(text)
-
-
-def _expect_option(token: _Token, line_no: int, key: str) -> int:
-    name, sep, value = token.text.partition("=")
-    if not sep or name != key:
-        raise PulseSyntaxError(
-            line_no, token.column, f"expected {key}=<int> (got {token.text!r})"
-        )
-    return _expect_int(value, token, line_no, key)
-
-
-def _check_arity(tokens: list[_Token], line_no: int, keyword: str, count: int) -> None:
-    if len(tokens) - 1 != count:
-        extra = tokens[count + 1] if len(tokens) - 1 > count else tokens[-1]
-        raise PulseSyntaxError(
-            line_no,
-            extra.column,
-            f"{keyword} takes {count} argument{'s' if count != 1 else ''}, "
-            f"got {len(tokens) - 1}",
-        )
+GRAMMAR: dict[str, tuple[type, tuple[tuple[str, str], ...]]] = {
+    "pulse90": (Pulse90, (("target name", NAME),)),
+    "whiten": (Whiten, (("target name", NAME), ("seed", SEED))),
+    "encode": (Encode, (("register name", NAME), ("qubit count", COUNT))),
+    "qft": (Qft, (("register name", NAME),)),
+    "iqft": (Iqft, (("register name", NAME),)),
+    "acquire": (Acquire, (("shots", OPTION),)),
+}
+_KEYWORD = {cls: keyword for keyword, (cls, _) in GRAMMAR.items()}
 
 
 def parse(source_text: str, source_name: str = "<string>") -> PulseProgram:
-    """Parse source into an AST; every statement keeps its 1-based line, and a
-    PulseSyntaxError names `source_name` with the line and column."""
-    try:
-        return PulseProgram(tuple(_parse_statements(source_text)), source_name)
-    except PulseSyntaxError as exc:
-        raise PulseSyntaxError(exc.line, exc.column, exc.message, source_name) from None
+    """Parse source into an AST by GRAMMAR; every statement keeps its 1-based
+    line, and a PulseSyntaxError names `source_name` with the line and the
+    column of the offending token."""
 
+    def fail(column: int, message: str) -> NoReturn:
+        raise PulseSyntaxError(line_no, column, message, source_name)
 
-def _parse_statements(source_text: str) -> list[Statement]:
     statements: list[Statement] = []
     for line_no, line in enumerate(source_text.splitlines(), start=1):
-        tokens = _tokenize(line)
+        tokens = [(m.start() + 1, m.group())
+                  for m in re.finditer(r"\S+", line.split("#", 1)[0])]
         if not tokens:
             continue
-        keyword = tokens[0]
-        if keyword.text == "pulse90":
-            _check_arity(tokens, line_no, "pulse90", 1)
-            statements.append(
-                Pulse90(_expect_name(tokens[1], line_no, "target name"), line_no)
-            )
-        elif keyword.text == "whiten":
-            if len(tokens) not in (2, 3):
-                _check_arity(tokens, line_no, "whiten", 2)
-            target = _expect_name(tokens[1], line_no, "target name")
-            seed = _expect_option(tokens[2], line_no, "seed") if len(tokens) == 3 else None
-            statements.append(Whiten(target, seed, line_no))
-        elif keyword.text == "encode":
-            _check_arity(tokens, line_no, "encode", 2)
-            register = _expect_name(tokens[1], line_no, "register name")
-            qubits = _expect_int(tokens[2].text, tokens[2], line_no, "qubit count")
-            if qubits < 1:
-                raise PulseSyntaxError(
-                    line_no, tokens[2].column, f"qubit count must be >= 1, got {qubits}"
-                )
-            statements.append(Encode(register, qubits, line_no))
-        elif keyword.text in ("qft", "iqft"):
-            _check_arity(tokens, line_no, keyword.text, 1)
-            register = _expect_name(tokens[1], line_no, "register name")
-            cls = Qft if keyword.text == "qft" else Iqft
-            statements.append(cls(register, line_no))
-        elif keyword.text == "acquire":
-            _check_arity(tokens, line_no, "acquire", 1)
-            shots = _expect_option(tokens[1], line_no, "shots")
-            if shots < 1:
-                raise PulseSyntaxError(
-                    line_no, tokens[1].column, f"shots must be >= 1, got {shots}"
-                )
-            statements.append(Acquire(shots, line_no))
-        else:
-            raise PulseSyntaxError(
-                line_no, keyword.column, f"unknown keyword {keyword.text!r}"
-            )
-    return statements
+        (column, keyword), *args = tokens
+        if keyword not in GRAMMAR:
+            fail(column, f"unknown keyword {keyword!r}")
+        cls, arguments = GRAMMAR[keyword]
+        most = len(arguments)
+        fewest = sum(form != SEED for _, form in arguments)
+        if not fewest <= len(args) <= most:
+            counts = f"{fewest} or {most}" if fewest < most else f"{most}"
+            # the column of the first extra token, or else of the last token
+            fail(tokens[min(most + 1, len(args))][0],
+                 f"{keyword} takes {counts} argument{'s' if most != 1 else ''}, "
+                 f"got {len(args)}")
+        values: list[str | int] = []
+        for (column, text), (label, form) in zip(args, arguments):
+            if form == NAME:
+                if not _NAME_RE.match(text):
+                    fail(column, f"expected {label} (got {text!r})")
+                values.append(text)
+                continue
+            digits = text
+            if form != COUNT:
+                key, sep, digits = text.partition("=")
+                if not sep or key != label:
+                    fail(column, f"expected {label}=<int> (got {text!r})")
+            if not _INT_RE.match(digits):
+                fail(column, f"expected integer {label} (got {digits!r})")
+            number = int(digits)
+            if form != SEED and number < 1:
+                fail(column, f"{label} must be >= 1, got {number}")
+            values.append(number)
+        statements.append(cls(*values, line_no=line_no))
+    return PulseProgram(tuple(statements), source_name)
 
 
 def format_program(program: PulseProgram) -> str:
-    """Canonical source text; parse(format_program(p)) equals p."""
+    """Canonical source text by GRAMMAR; parse(format_program(p)) equals p."""
     lines = [HEADER_COMMENT]
     for stmt in program.statements:
-        if isinstance(stmt, Pulse90):
-            lines.append(f"pulse90 {stmt.target}")
-        elif isinstance(stmt, Whiten):
-            suffix = f" seed={stmt.seed}" if stmt.seed is not None else ""
-            lines.append(f"whiten {stmt.target}{suffix}")
-        elif isinstance(stmt, Encode):
-            lines.append(f"encode {stmt.register} {stmt.qubits}")
-        elif isinstance(stmt, Qft):
-            lines.append(f"qft {stmt.register}")
-        elif isinstance(stmt, Iqft):
-            lines.append(f"iqft {stmt.register}")
-        else:
-            lines.append(f"acquire shots={stmt.shots}")
+        keyword = _KEYWORD[type(stmt)]
+        words = [str(value) if form in (NAME, COUNT) else f"{label}={value}"
+                 for (label, form), value in zip(GRAMMAR[keyword][1], astuple(stmt))
+                 if value is not None]  # only an absent seed is None
+        lines.append(" ".join([keyword, *words]))
     return "\n".join(lines) + "\n"
 
 
@@ -237,8 +195,7 @@ def check(program: PulseProgram, max_qubits: int = DEFAULT_MAX_QUBITS) -> PulseP
             encoded.add(stmt.register)
         elif isinstance(stmt, (Qft, Iqft)):
             if stmt.register not in encoded:
-                keyword = type(stmt).__name__.lower()
-                problem = f"{keyword} on register {stmt.register!r} before encode"
+                problem = f"{_KEYWORD[type(stmt)]} on register {stmt.register!r} before encode"
         elif not encoded:  # Acquire
             problem = "acquire before any register was encoded"
         if problem:
@@ -387,7 +344,7 @@ def execute(
                 f"mode {int(counts.argmax())}"
             )
         stages.append(
-            StageLog(stmt.line_no, type(stmt).__name__.lower(), detail,
+            StageLog(stmt.line_no, _KEYWORD[type(stmt)], detail,
                      time.perf_counter() - started)
         )
     return report

@@ -49,7 +49,7 @@ from .errors import (
     QubitCountMismatch,
 )
 
-DEFAULT_MAX_QUBITS = 24  # 16M amplitudes, ~256 MB; override per call if needed
+DEFAULT_MAX_QUBITS = 24  # ~256 MB; config max_qubits raises it up to ABSOLUTE_MAX_QUBITS
 ABSOLUTE_MAX_QUBITS = 30  # hard ceiling for any configuration
 ORACLE_MAX_QUBITS = 10
 

@@ -316,6 +316,27 @@ class TestUnreadableInput:
         assert result.stdout == ""
 
 
+class TestOwnUsageErrors:
+    """A bad value that the program itself rejects (not click's flag checks)
+    prints exactly one Error line, with no usage lines before it."""
+
+    @pytest.mark.parametrize("args,files,message", [
+        (("--config", "b.conf", "budget"), {"b.conf": b"max_qubits=99\n"},
+         "max_qubits 99 outside [1, 30]"),
+        (("run", "bad.pp"), {"bad.pp": NOT_UTF8}, "program bad.pp is not UTF-8 text"),
+        (("cat", "--n-list", "1,x"), {}, "malformed option"),
+        (("budget", "--stages", "foo=1"), {}, "unknown or malformed stage override 'foo=1'"),
+    ])
+    def test_one_error_line(self, tmp_path, args, files, message):
+        for name, content in files.items():
+            (tmp_path / name).write_bytes(content)
+        result = run_cli(*args, cwd=tmp_path)
+        assert result.returncode == 2
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith(f"Error: {message}")
+        assert result.stdout == ""
+
+
 class TestOversizedRequest:
     """A request whose first large array exceeds the 2**47-byte user address
     space, which no allocator can grant, exits 2 with one Error line instead

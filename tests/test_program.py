@@ -100,6 +100,35 @@ class TestParse:
             parse("pulse90     97bad")
         assert info.value.column == 13
 
+    @pytest.mark.parametrize("source,line,column,message", [
+        # one case per argument form
+        ("pulse90 Target", 1, 9, "expected target name (got 'Target')"),
+        ("qft 4", 1, 5, "expected register name (got '4')"),
+        ("encode r four", 1, 10, "expected integer qubit count (got 'four')"),
+        ("encode r 0", 1, 10, "qubit count must be >= 1, got 0"),
+        ("acquire count=5", 1, 9, "expected shots=<int> (got 'count=5')"),
+        ("acquire shots", 1, 9, "expected shots=<int> (got 'shots')"),
+        ("acquire shots=x", 1, 9, "expected integer shots (got 'x')"),
+        ("acquire shots=0", 1, 9, "shots must be >= 1, got 0"),
+        ("whiten t seed=abc", 1, 10, "expected integer seed (got 'abc')"),
+        ("whiten t shots=1", 1, 10, "expected seed=<int> (got 'shots=1')"),
+        # arity: the column is the first extra token, or the last token given
+        ("qft 4 r", 1, 7, "qft takes 1 argument, got 2"),
+        ("pulse90 t u", 1, 11, "pulse90 takes 1 argument, got 2"),
+        ("encode r", 1, 8, "encode takes 2 arguments, got 1"),
+        ("acquire", 1, 1, "acquire takes 1 argument, got 0"),
+        ("whiten", 1, 1, "whiten takes 1 or 2 arguments, got 0"),
+        ("whiten t seed=1 x", 1, 17, "whiten takes 1 or 2 arguments, got 3"),
+        # keyword
+        ("relax t", 1, 1, "unknown keyword 'relax'"),
+        ("pulse90 t\n\n  frobnicate x", 3, 3, "unknown keyword 'frobnicate'"),
+    ])
+    def test_error_message(self, source, line, column, message):
+        with pytest.raises(PulseSyntaxError) as info:
+            parse(source, source_name="p.pp")
+        assert (info.value.line, info.value.column) == (line, column)
+        assert str(info.value) == f"p.pp:line {line}, column {column}: {message}"
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize(
@@ -112,6 +141,13 @@ class TestRoundTrip:
         assert parse(printed) == program
         # printing is canonical: a second pass is byte-identical
         assert format_program(parse(printed)) == printed
+
+    @pytest.mark.parametrize("source", ["whiten t\n", "whiten t seed=-1\n"])
+    def test_whiten_seed_forms(self, source):
+        program = parse(source)
+        printed = format_program(program)
+        assert printed == "# ppv1\n" + source
+        assert parse(printed) == program
 
     def test_corpus_has_twenty_programs(self):
         assert len(list(GOLDEN_DIR.glob("*.pp"))) == 20
