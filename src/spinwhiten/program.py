@@ -148,7 +148,10 @@ def parse(source_text: str, source_name: str = "<string>") -> PulseProgram:
                     fail(column, f"expected {label}=<int> (got {text!r})")
             if not _INT_RE.match(digits):
                 fail(column, f"expected integer {label} (got {digits!r})")
-            number = int(digits)
+            try:
+                number = int(digits)
+            except ValueError:  # beyond Python's int-string digit limit
+                fail(column, f"integer {label} too long ({len(digits.lstrip('-'))} digits)")
             if form != SEED and number < 1:
                 fail(column, f"{label} must be >= 1, got {number}")
             values.append(number)

@@ -76,7 +76,6 @@ class SnrReport:
     peak_mag: float
     noise_rms: float
     snr: float
-    n_averages: int = 1
 
 
 def _check_dwell(dwell_s: float) -> None:
@@ -171,7 +170,6 @@ def estimate_snr(
     spectrum: Spectrum,
     peak_window: tuple[int, int],
     noise_window: tuple[int, int],
-    n_averages: int = 1,
 ) -> SnrReport:
     """Peak magnitude over a window divided by noise RMS over another.
 
@@ -195,7 +193,7 @@ def estimate_snr(
     snr = peak_mag / noise_rms
     if not all(map(math.isfinite, (peak_mag, noise_rms, snr))):
         raise OutOfRange(f"SNR not finite: peak {peak_mag:g}, noise RMS {noise_rms:g}")
-    return SnrReport(peak_mag, noise_rms, snr, n_averages)
+    return SnrReport(peak_mag, noise_rms, snr)
 
 
 # --- spin budget and enhancement bookkeeping --------------------------------
@@ -320,9 +318,7 @@ def cat_snr(
         averaged = cat_average(_cat_shots(clean, n_shots, seed, noise_sigma))
         spectrum = fft(averaged)
         _check_line_bin(line, length, dwell_s)
-        report = estimate_snr(
-            spectrum, DEFAULT_PEAK_WINDOW, DEFAULT_NOISE_WINDOW, n_averages=n_shots
-        )
+        report = estimate_snr(spectrum, DEFAULT_PEAK_WINDOW, DEFAULT_NOISE_WINDOW)
     return report.snr
 
 

@@ -22,8 +22,8 @@ through `compile_circuit`, which turns it into a `Schedule` once per call:
   built from the exact per-gate matrices and applied by one stacked
   `np.matmul` per 256 KiB tile of small GEMMs (general matrix multiplies);
 - controlled phases that cross windows, and windows without a Hadamard,
-  become diagonal steps: one phase table over the qubits they name, or,
-  when those are more than 12, tables over runs that share a qubit.
+  become diagonal steps: one phase table per window or pair of windows that
+  their gates name, so no table has more than 2**12 entries.
 
 A gate joins the latest step that can take it and that it commutes past, so
 the inverse transform on n qubits is ceil(n / 6) dense steps with a diagonal
@@ -54,7 +54,6 @@ ABSOLUTE_MAX_QUBITS = 30  # hard ceiling for any configuration
 ORACLE_MAX_QUBITS = 10
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_MAX_FACTOR_BITS = 12  # a fused controlled-phase factor holds <= 2**12 entries
 
 
 class GateKind(enum.Enum):
@@ -219,15 +218,23 @@ class DenseStep:
 
 @dataclass(frozen=True)
 class DiagonalStep:
-    """Phase gates as a few phase tables; each factor is (q, table) for
-    `_phase_run_inplace`."""
+    """Commuting phase gates as phase tables, one per window or pair of
+    windows that the gates name, in the order the gates first use them.
 
-    factors: tuple[tuple[int | None, np.ndarray], ...] = field(repr=False)
+    Each table has one axis per qubit, size 2 where a gate of its part names
+    the qubit and 1 elsewhere, so it broadcasts over the block; a gate names
+    at most two windows of at most 6 qubits, so a table has at most 2**12
+    entries.
+    """
+
+    tables: tuple[np.ndarray, ...] = field(repr=False)
 
     def apply(self, block: np.ndarray) -> None:
-        n = block.shape[1].bit_length() - 1
-        for q, table in self.factors:
-            _phase_run_inplace(block, n, q, table)
+        # numpy merges neighbouring axes the table treats alike, so the
+        # inner loops stay long
+        view = block.reshape(block.shape[0], *[2] * (block.shape[1].bit_length() - 1))
+        for table in self.tables:
+            view *= table
 
 
 def _window_matrix(lo: int, k: int, gates: list[GateOp]) -> np.ndarray:
@@ -251,59 +258,14 @@ def _window_matrix(lo: int, k: int, gates: list[GateOp]) -> np.ndarray:
     return matrix
 
 
-def _phase_table(n: int, q: int | None, gates: list[GateOp]) -> np.ndarray:
-    """Phases of commuting phase gates as one table with an axis per
-    qubit other than q: size 2 where a gate names the qubit, else 1, so the
-    table broadcasts over the others. With q set, the table is restricted to
-    q's |1> half, so the run there is the outer product of one [1, phase]
-    vector per partner (a partner named twice gets the product)."""
-    keep = [k for k in range(n) if k != q]
-    named = {k for gate in gates for k in gate.qubits}
-    table = np.ones([2 if k in named else 1 for k in keep], dtype=np.complex128)
+def _phase_table(n: int, gates: list[GateOp]) -> np.ndarray:
+    """Phases of commuting phase gates as one table with an axis per qubit:
+    size 2 where a gate names the qubit, else 1."""
+    named = {q for gate in gates for q in gate.qubits}
+    table = np.ones([2 if q in named else 1 for q in range(n)], dtype=np.complex128)
     for gate in gates:
-        table[tuple(1 if k in gate.qubits else slice(None) for k in keep)] *= gate.phase()
+        table[tuple(1 if q in gate.qubits else slice(None) for q in range(n))] *= gate.phase()
     return table
-
-
-def _phase_factors(n: int, gates: list[GateOp]) -> tuple[tuple[int | None, np.ndarray], ...]:
-    """Split a group of commuting phase gates into tables of at most
-    2**_MAX_FACTOR_BITS entries.
-
-    A group that names at most _MAX_FACTOR_BITS qubits is one table over the
-    whole block. A larger group is cut into runs that share a qubit q, the
-    qubit in most remaining gates first and the most significant on a tie,
-    so that q's |1> half is contiguous and the partners sit on inner axes;
-    a run with more partners takes one table per _MAX_FACTOR_BITS of them,
-    starting from the least significant.
-    """
-    if len({k for gate in gates for k in gate.qubits}) <= _MAX_FACTOR_BITS:
-        return ((None, _phase_table(n, None, gates)),)
-    factors = []
-    while gates:
-        counts: dict[int, int] = {}
-        for gate in gates:
-            for k in gate.qubits:
-                counts[k] = counts.get(k, 0) + 1
-        q = min(counts, key=lambda k: (-counts[k], k))
-        run = [gate for gate in gates if q in gate.qubits]
-        gates = [gate for gate in gates if q not in gate.qubits]
-        partners = sorted({k for gate in run for k in gate.qubits} - {q}, reverse=True)
-        # the first table also takes the run's phase shifts on q itself
-        for start in range(0, max(len(partners), 1), _MAX_FACTOR_BITS):
-            chunk = set(partners[start : start + _MAX_FACTOR_BITS])
-            part = [g for g in run if chunk & set(g.qubits) or (start == 0 and len(g.qubits) == 1)]
-            factors.append((q, _phase_table(n, q, part)))
-    return tuple(factors)
-
-
-def _phase_run_inplace(block: np.ndarray, n: int, q: int | None, table: np.ndarray) -> None:
-    """Multiply the block, or only qubit q's |1> half, by a phase table."""
-    # one axis per qubit; numpy merges neighbouring axes the table treats
-    # alike, so the inner loops stay long
-    view = block.reshape(block.shape[0], *[2] * n)
-    if q is not None:
-        view = view[(slice(None),) * (1 + q) + (1,)]
-    view *= table
 
 
 @dataclass(frozen=True)
@@ -399,14 +361,19 @@ def compile_circuit(circuit: Circuit) -> Schedule:
             groups.append(home)
         home.add(gate)
     starts = [sum(sizes[:w]) for w in range(len(sizes))]
-    # a group without a Hadamard is diagonal, whether it crosses windows or not
-    steps = tuple(
-        DiagonalStep(_phase_factors(n, group.gates)) if not group.mixed
-        else DenseStep(starts[group.window],
-                       _window_matrix(starts[group.window], sizes[group.window], group.gates))
-        for group in groups
-    )
-    return Schedule(n, tuple(axes), steps)
+    steps: list[DenseStep | DiagonalStep] = []
+    for group in groups:
+        if group.mixed:
+            steps.append(DenseStep(starts[group.window], _window_matrix(
+                starts[group.window], sizes[group.window], group.gates)))
+            continue
+        # a group without a Hadamard is diagonal, whether it crosses windows
+        # or not: one table per set of windows its gates name
+        parts: dict[frozenset[int], list[GateOp]] = {}
+        for gate in group.gates:
+            parts.setdefault(frozenset(window_of[q] for q in gate.qubits), []).append(gate)
+        steps.append(DiagonalStep(tuple(_phase_table(n, part) for part in parts.values())))
+    return Schedule(n, tuple(axes), tuple(steps))
 
 
 # --- public operations -------------------------------------------------------

@@ -326,6 +326,9 @@ class TestOwnUsageErrors:
         (("run", "bad.pp"), {"bad.pp": NOT_UTF8}, "program bad.pp is not UTF-8 text"),
         (("cat", "--n-list", "1,x"), {}, "malformed option"),
         (("budget", "--stages", "foo=1"), {}, "unknown or malformed stage override 'foo=1'"),
+        pytest.param(("run", "long.pp"), {"long.pp": b"pulse90 t\nwhiten t seed=" + b"7" * 5000},
+                     "long.pp:line 2, column 10: integer seed too long (5000 digits)",
+                     id="dsl-int-5000-digits"),
     ])
     def test_one_error_line(self, tmp_path, args, files, message):
         for name, content in files.items():

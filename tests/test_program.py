@@ -112,6 +112,13 @@ class TestParse:
         ("acquire shots=0", 1, 9, "shots must be >= 1, got 0"),
         ("whiten t seed=abc", 1, 10, "expected integer seed (got 'abc')"),
         ("whiten t shots=1", 1, 10, "expected seed=<int> (got 'shots=1')"),
+        # integers past Python's int-string digit limit
+        pytest.param("pulse90 t\nwhiten t seed=-" + "9" * 5000, 2, 10,
+                     "integer seed too long (5000 digits)", id="seed-5000-digits"),
+        pytest.param("encode r " + "9" * 5000, 1, 10,
+                     "integer qubit count too long (5000 digits)", id="count-5000-digits"),
+        pytest.param("acquire shots=" + "9" * 5000, 1, 9,
+                     "integer shots too long (5000 digits)", id="shots-5000-digits"),
         # arity: the column is the first extra token, or the last token given
         ("qft 4 r", 1, 7, "qft takes 1 argument, got 2"),
         ("pulse90 t u", 1, 11, "pulse90 takes 1 argument, got 2"),

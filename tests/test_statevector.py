@@ -24,7 +24,7 @@ from spinwhiten.statevector import (
 )
 
 from conftest import subprocess_env
-from oracles import circuit_matrix
+from oracles import apply_gates_by_index, circuit_matrix
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -198,11 +198,12 @@ class TestFusedPhaseRuns:
         for circuit in (qft_circuit(n), qft_circuit(n, inverse=True)):
             assert np.abs(dense_matrix(circuit) - circuit_matrix(circuit)).max() <= 1e-12
 
-    @pytest.mark.parametrize("bits", [1, 2, 3])
-    def test_runs_split_across_several_factors(self, bits, monkeypatch):
-        # a small cap makes runs of 2..5 partners take several passes, with
-        # groups that straddle the shared qubit
-        monkeypatch.setattr(statevector, "_MAX_FACTOR_BITS", bits)
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    def test_runs_split_across_several_factors(self, window, monkeypatch):
+        # narrow windows cut 6 qubits into 2..6 windows, so a run's partners
+        # fall in several windows and its diagonal step holds several
+        # window-pair tables
+        monkeypatch.setattr(statevector, "_WINDOW_QUBITS", window)
         for seed in range(4):
             circuit = _phase_run_circuit(6, 100 + seed)
             assert np.abs(dense_matrix(circuit) - circuit_matrix(circuit)).max() <= 1e-12
@@ -250,11 +251,11 @@ class TestWindowedEngine:
         expected = circuit_matrix(circuit) @ state.amps
         assert np.abs(apply_circuit(state, circuit).amps - expected).max() <= 1e-12
 
-    @pytest.mark.parametrize("bits", [1, 2, 3])
-    def test_diagonal_steps_split_into_runs(self, bits, monkeypatch):
-        # a small table cap turns each cross-window phase group into runs
-        # that share a qubit, and long runs into several tables
-        monkeypatch.setattr(statevector, "_MAX_FACTOR_BITS", bits)
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    def test_diagonal_steps_split_into_runs(self, window, monkeypatch):
+        # narrow windows cut 8 qubits into 3..8 windows, so each cross-window
+        # phase group names many window pairs and holds one table per pair
+        monkeypatch.setattr(statevector, "_WINDOW_QUBITS", window)
         for circuit in (qft_circuit(8, inverse=True), _crossing_circuit(8, 7)):
             assert np.abs(dense_matrix(circuit) - circuit_matrix(circuit)).max() <= 1e-12
 
@@ -387,6 +388,49 @@ def _random_gate(n, rng):
 def _random_circuit(n, depth, seed):
     rng = np.random.default_rng(seed)
     return Circuit(n, tuple(_random_gate(n, rng) for _ in range(depth)))
+
+
+class TestStateOracleAcrossWindowPairs:
+    """Registers of 13 or more qubits have three or more windows, so one
+    diagonal step can hold tables over several window pairs. They are too
+    large for the Kronecker-product oracle; the state oracle applies the
+    gates one by one to a flat amplitude vector."""
+
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_state_oracle_matches_kronecker_oracle(self, n):
+        circuit = _random_circuit(n, 60, seed=70 + n)
+        state = _random_state(n, seed=n)
+        expected = circuit_matrix(circuit) @ state.amps
+        assert np.abs(apply_gates_by_index(circuit, state.amps) - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [13, 14, 16])
+    def test_random_circuits_match_state_oracle(self, n):
+        circuit = _random_circuit(n, 200, seed=80 + n)
+        state = _random_state(n, seed=n)
+        expected = apply_gates_by_index(circuit, state.amps)
+        assert np.abs(apply_circuit(state, circuit).amps - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [13, 16])
+    def test_inverse_transform_matches_state_oracle(self, n):
+        circuit = qft_circuit(n, inverse=True)
+        state = _random_state(n, seed=90 + n)
+        expected = apply_gates_by_index(circuit, state.amps)
+        assert np.abs(apply_circuit(state, circuit).amps - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("circuit", [
+        *(qft_circuit(n, inverse=True) for n in (8, 13, 20, 22, 24)),
+        *(_random_circuit(n, 200, seed=80 + n) for n in (13, 14, 16)),
+    ], ids=lambda circuit: f"n{circuit.num_qubits}-{len(circuit.gates)}gates")
+    def test_diagonal_tables_span_at_most_two_windows(self, circuit):
+        n = circuit.num_qubits
+        window_of = [w for w, size in enumerate(statevector._window_sizes(n))
+                     for _ in range(size)]
+        for step in compile_circuit(circuit).steps:
+            if isinstance(step, DiagonalStep):
+                for table in step.tables:
+                    assert table.ndim == n and table.size <= 2**12
+                    named = [q for q in range(n) if table.shape[q] == 2]
+                    assert len({window_of[q] for q in named}) <= 2
 
 
 @settings(max_examples=60, deadline=None)
