@@ -9,13 +9,14 @@ than stored. The receiver observable is the coherent mean of unit phasors,
 which whitening drives to O(1/sqrt(M)) — the reason a whitened ensemble
 yields no conventional signal.
 
-The phasor sum (`phasor_sum`) calls no per-spin cos/sin: a 2^12-entry table
-of exp(2*pi*i*j/2^12) supplies the nearest grid angle and a short Taylor
-polynomial rotates by the residual (at most pi/2^12 rad), the table-driven
-scheme of Tang (ACM TOMS 1989). `receiver_signal` streams the whitened
-phases into it 8192 spins at a time, so memory stays flat in M. Measured
-against the explicit cos/sin sum, the mean agrees within 6e-18, and a
-freshly pulsed ensemble reads exactly 1.
+The phasor kernel (`phasor_factors`) calls no per-spin cos/sin: a 2^12-entry
+table of exp(2*pi*i*j/2^12) supplies the nearest grid angle and a short
+Taylor polynomial rotates by the residual (at most pi/2^12 rad), the
+table-driven scheme of Tang (ACM TOMS 1989); `qft.phase_encode_block` takes
+a register's n phasors from it. `phasor_sum` sums its phasors, and
+`receiver_signal` streams the whitened phases into that sum 8192 spins at a
+time, so memory stays flat in M. Measured against the explicit cos/sin sum,
+the mean agrees within 6e-18, and a freshly pulsed ensemble reads exactly 1.
 """
 
 from __future__ import annotations
@@ -142,6 +143,43 @@ def phasor_sum(phase: np.ndarray) -> complex:
                               for start in range(0, len(phase), _BLOCK))
 
 
+def phasor_factors(
+    phase: np.ndarray,
+    buffers: np.ndarray | None = None,
+    indices: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Factors (T_cos, T_sin, cos r, sin r) of exp(i*phase), elementwise.
+
+    exp(i*phase) = (T_cos + i*T_sin) * (cos r + i*sin r): the table entry
+    for a = rint(phase * 2^12 / (2*pi)) mod 2^12 times the polynomial
+    rotation by the residual r = phase - a * 2*pi/2^12, |r| <= pi/2^12 for
+    |phase| <= 2^20 (see `phasor_sum`). `buffers`, a (7, >= len(phase))
+    float64 array, and `indices`, an intp array at least as long, are reused
+    when given; the four factors returned are views into `buffers`.
+    """
+    count = len(phase)
+    buffers = np.empty((7, count)) if buffers is None else buffers
+    index = np.empty(count, dtype=np.intp) if indices is None else indices[:count]
+    a, r, r2, cos_r, sin_r, table_cos, table_sin = buffers[:, :count]
+    np.multiply(phase, 1.0 / _TABLE_STEP, out=a)
+    np.rint(a, out=a)
+    np.copyto(index, a, casting="unsafe")
+    index &= _TABLE_SIZE - 1
+    np.take(_TABLE_COS, index, out=table_cos)
+    np.take(_TABLE_SIN, index, out=table_sin)
+    np.multiply(a, _TABLE_STEP, out=r)
+    np.subtract(phase, r, out=r)
+    np.multiply(r, r, out=r2)
+    np.multiply(r2, 1.0 / 24.0, out=cos_r)
+    cos_r -= 0.5
+    cos_r *= r2
+    cos_r += 1.0
+    np.multiply(r2, -1.0 / 6.0, out=sin_r)
+    sin_r *= r
+    sin_r += r
+    return table_cos, table_sin, cos_r, sin_r
+
+
 def _sum_phasor_blocks(blocks: Iterable[np.ndarray]) -> complex:
     """The `phasor_sum` kernel over a stream of blocks of at most _BLOCK phases.
 
@@ -156,25 +194,7 @@ def _sum_phasor_blocks(blocks: Iterable[np.ndarray]) -> complex:
     for phase in blocks:
         if phase.max(initial=0.0) > _REDUCE_ABOVE or phase.min(initial=0.0) < -_REDUCE_ABOVE:
             phase = np.fmod(phase, TWO_PI)
-        a, r, r2, cos_r, sin_r, table_cos, table_sin = buffers[:, :len(phase)]
-        index = indices[:len(phase)]
-        np.multiply(phase, 1.0 / _TABLE_STEP, out=a)
-        np.rint(a, out=a)
-        np.copyto(index, a, casting="unsafe")
-        index &= _TABLE_SIZE - 1
-        np.take(_TABLE_COS, index, out=table_cos)
-        np.take(_TABLE_SIN, index, out=table_sin)
-        np.multiply(a, _TABLE_STEP, out=r)
-        np.subtract(phase, r, out=r)
-        np.multiply(r, r, out=r2)
-        np.multiply(r2, 1.0 / 24.0, out=cos_r)
-        cos_r -= 0.5
-        cos_r *= r2
-        cos_r += 1.0
-        np.multiply(r2, -1.0 / 6.0, out=sin_r)
-        sin_r *= r
-        sin_r += r
+        table_cos, table_sin, cos_r, sin_r = phasor_factors(phase, buffers, indices)
         re += np.dot(table_cos, cos_r) - np.dot(table_sin, sin_r)
         im += np.dot(table_sin, cos_r) + np.dot(table_cos, sin_r)
     return complex(re, im)
-

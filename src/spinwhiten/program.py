@@ -95,7 +95,9 @@ class PulseProgram:
 NAME = "name"  # [a-z][a-z0-9_]*
 COUNT = "count"  # positional integer >= 1
 OPTION = "option"  # required label=<int >= 1>
-SEED = "seed"  # optional seed=<int>, last if present
+SEED = "seed"  # optional seed=<int in [0, 2^64)>, last if present
+
+_ECHO_CHARS = 40  # messages echo at most this much of an offending token
 
 GRAMMAR: dict[str, tuple[type, tuple[tuple[str, str], ...]]] = {
     "pulse90": (Pulse90, (("target name", NAME),)),
@@ -116,6 +118,9 @@ def parse(source_text: str, source_name: str = "<string>") -> PulseProgram:
     def fail(column: int, message: str) -> NoReturn:
         raise PulseSyntaxError(line_no, column, message, source_name)
 
+    def cut(text: str) -> str:
+        return text if len(text) <= _ECHO_CHARS else text[:_ECHO_CHARS] + "..."
+
     statements: list[Statement] = []
     for line_no, line in enumerate(source_text.splitlines(), start=1):
         tokens = [(m.start() + 1, m.group())
@@ -124,7 +129,7 @@ def parse(source_text: str, source_name: str = "<string>") -> PulseProgram:
             continue
         (column, keyword), *args = tokens
         if keyword not in GRAMMAR:
-            fail(column, f"unknown keyword {keyword!r}")
+            fail(column, f"unknown keyword {cut(keyword)!r}")
         cls, arguments = GRAMMAR[keyword]
         most = len(arguments)
         fewest = sum(form != SEED for _, form in arguments)
@@ -138,22 +143,24 @@ def parse(source_text: str, source_name: str = "<string>") -> PulseProgram:
         for (column, text), (label, form) in zip(args, arguments):
             if form == NAME:
                 if not _NAME_RE.match(text):
-                    fail(column, f"expected {label} (got {text!r})")
+                    fail(column, f"expected {label} (got {cut(text)!r})")
                 values.append(text)
                 continue
             digits = text
             if form != COUNT:
                 key, sep, digits = text.partition("=")
                 if not sep or key != label:
-                    fail(column, f"expected {label}=<int> (got {text!r})")
+                    fail(column, f"expected {label}=<int> (got {cut(text)!r})")
             if not _INT_RE.match(digits):
-                fail(column, f"expected integer {label} (got {digits!r})")
+                fail(column, f"expected integer {label} (got {cut(digits)!r})")
             try:
                 number = int(digits)
             except ValueError:  # beyond Python's int-string digit limit
                 fail(column, f"integer {label} too long ({len(digits.lstrip('-'))} digits)")
             if form != SEED and number < 1:
-                fail(column, f"{label} must be >= 1, got {number}")
+                fail(column, f"{label} must be >= 1, got {cut(str(number))}")
+            if form == SEED and not 0 <= number <= rng.MASK64:  # stream reads seeds mod 2^64
+                fail(column, f"{label} must lie in [0, 2^64), got {cut(str(number))}")
             values.append(number)
         statements.append(cls(*values, line_no=line_no))
     return PulseProgram(tuple(statements), source_name)
@@ -341,7 +348,7 @@ def execute(
                 combined[: len(report.histogram)] += report.histogram
                 combined[: len(counts)] += counts
                 report.histogram = combined
-            report.peak = peak_readout(state)
+            report.peak = peak_readout(probs)
             detail = (
                 f"register {active_register}, shots {stmt.shots}, "
                 f"mode {int(counts.argmax())}"

@@ -112,6 +112,17 @@ class TestParse:
         ("acquire shots=0", 1, 9, "shots must be >= 1, got 0"),
         ("whiten t seed=abc", 1, 10, "expected integer seed (got 'abc')"),
         ("whiten t shots=1", 1, 10, "expected seed=<int> (got 'shots=1')"),
+        # seeds outside the stream's [0, 2^64), which would alias mod 2^64
+        ("whiten t seed=-1", 1, 10, "seed must lie in [0, 2^64), got -1"),
+        ("whiten t seed=18446744073709551616", 1, 10,
+         "seed must lie in [0, 2^64), got 18446744073709551616"),
+        # long tokens are echoed to 40 characters plus an ellipsis
+        pytest.param("pulse90 " + "T" * 5000, 1, 9,
+                     f"expected target name (got {'T' * 40 + '...'!r})", id="name-5000-chars"),
+        pytest.param("pulse90 t\nwhiten t seed=" + "x" * 5000, 2, 10,
+                     f"expected integer seed (got {'x' * 40 + '...'!r})", id="seed-5000-chars"),
+        pytest.param("whiten t seed=" + "9" * 100, 1, 10,
+                     f"seed must lie in [0, 2^64), got {'9' * 40}...", id="seed-100-digits"),
         # integers past Python's int-string digit limit
         pytest.param("pulse90 t\nwhiten t seed=-" + "9" * 5000, 2, 10,
                      "integer seed too long (5000 digits)", id="seed-5000-digits"),
@@ -149,7 +160,7 @@ class TestRoundTrip:
         # printing is canonical: a second pass is byte-identical
         assert format_program(parse(printed)) == printed
 
-    @pytest.mark.parametrize("source", ["whiten t\n", "whiten t seed=-1\n"])
+    @pytest.mark.parametrize("source", ["whiten t\n", "whiten t seed=18446744073709551615\n"])
     def test_whiten_seed_forms(self, source):
         program = parse(source)
         printed = format_program(program)

@@ -16,7 +16,6 @@ from spinwhiten.qft import (
 )
 from spinwhiten.statevector import (
     GateKind,
-    StateVector,
     apply_circuit,
     dense_matrix,
     new_state,
@@ -134,9 +133,19 @@ class TestPhaseEncode:
     @pytest.mark.parametrize("n,k", [(2, 1), (3, 3), (5, 17), (8, 200)])
     def test_inverse_transform_recovers_dyadic_index(self, n, k):
         state = apply_circuit(phase_encode(k / (1 << n), n), qft_circuit(n, inverse=True))
-        outcome, prob = peak_readout(state)
+        outcome, prob = peak_readout(probabilities(state))
         assert outcome == k
         assert prob >= 1 - 1e-12
+
+    def test_allocation_peak_is_one_state(self):
+        # the rows double in place: no 2^n-point temporary beside the 16 MiB state
+        tracemalloc.start()
+        try:
+            phase_encode(0.3, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 17 * 2**20
 
     def test_phase_sample_validation(self):
         with pytest.raises(ValueError):
@@ -148,13 +157,13 @@ class TestPhaseEncode:
 class TestPeakReadout:
     def test_exact_dyadic_case(self):
         state = apply_circuit(phase_encode(3 / 8, 3), qft_circuit(3, inverse=True))
-        outcome, prob = peak_readout(state)
+        outcome, prob = peak_readout(probabilities(state))
         assert outcome == 3
         assert prob == pytest.approx(1.0, abs=1e-12)
 
     def test_tie_breaks_toward_smaller_index(self):
         state = phase_encode(0.0, 2)  # uniform: all outcomes tie at 0.25
-        assert peak_readout(state) == (0, pytest.approx(0.25, abs=1e-15))
+        assert peak_readout(probabilities(state)) == (0, pytest.approx(0.25, abs=1e-15))
 
     def test_rounding_noise_does_not_break_a_tie(self):
         # qft then iqft gives back a uniform distribution, up to rounding
@@ -162,12 +171,12 @@ class TestPeakReadout:
         state = apply_circuit(apply_circuit(state, qft_circuit(5)), qft_circuit(5, inverse=True))
         probs = probabilities(state)
         assert np.ptp(probs) > 0  # not bit-exact, so a plain argmax is noise
-        assert peak_readout(state) == (0, pytest.approx(1 / 32, rel=1e-12))
+        assert peak_readout(probs) == (0, pytest.approx(1 / 32, rel=1e-12))
 
     def test_non_tie_follows_rounding_rule(self):
         gamma, n = 0.3, 4
         state = apply_circuit(phase_encode(gamma, n), qft_circuit(n, inverse=True))
-        assert peak_readout(state)[0] == round(gamma * (1 << n))
+        assert peak_readout(probabilities(state))[0] == round(gamma * (1 << n))
 
 
 class TestConcentrationSweep:
@@ -224,17 +233,17 @@ class TestClosedFormDistribution:
         assert np.abs(probabilities(state) - expected).max() <= 1e-12
 
     @pytest.mark.parametrize("n", [12, 16, 20, 22])
-    def test_non_dyadic_phase(self, n):
-        # the input angles are built from gamma*x reduced mod 1, so only the
-        # circuit's own rounding is measured
-        gamma = 1 / 3
-        state = StateVector(n, exact_phase_state(gamma, n))
-        probs = probabilities(apply_circuit(state, qft_circuit(n, inverse=True)))
+    @pytest.mark.parametrize("gamma", [1 / 3, 0.3, 0.999999])
+    def test_non_dyadic_phase(self, n, gamma):
+        state = apply_circuit(phase_encode(gamma, n), qft_circuit(n, inverse=True))
         expected = phase_estimation_distribution(gamma, n)
-        assert np.abs(probs - expected).max() <= 1e-12
-
-    def test_phase_encode_non_dyadic_at_twelve_qubits(self):
-        gamma = 1 / 3
-        state = apply_circuit(phase_encode(gamma, 12), qft_circuit(12, inverse=True))
-        expected = phase_estimation_distribution(gamma, 12)
         assert np.abs(probabilities(state) - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 3, 12, 16, 20, 22])
+    @pytest.mark.parametrize("gamma", [1 / 3, 0.3, 0.999999])
+    def test_encoder_matches_reduced_closed_form(self, n, gamma):
+        # each amplitude is a product of at most n phasors, each within a
+        # few ulps of 2*pi in angle
+        amps = phase_encode(gamma, n).amps
+        error = np.abs(amps - exact_phase_state(gamma, n)).max()
+        assert error <= n * 2.0**-50 * 2.0 ** (-n / 2)

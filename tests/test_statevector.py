@@ -285,12 +285,16 @@ class TestWindowedEngine:
     def test_twenty_qubit_inverse_transform_runs_on_one_thread(self):
         # process CPU time counts every BLAS thread, and hypervisor steal only
         # adds wall time; a fresh process keeps out the spinning BLAS threads
-        # that the oracle's large matrix products leave behind
+        # that the oracle's large matrix products leave behind. OpenBLAS's
+        # idle workers also spin for up to about 0.1 s after numpy is
+        # imported, so the timed call is the second one: a transform that
+        # woke the workers would keep them spinning through it too
         script = (
             "import time\n"
             "from spinwhiten.qft import phase_encode, qft_circuit\n"
             "from spinwhiten.statevector import apply_circuit\n"
             "state, circuit = phase_encode(0.3, 20), qft_circuit(20, inverse=True)\n"
+            "apply_circuit(state, circuit)\n"
             "cpu, wall = time.process_time(), time.perf_counter()\n"
             "apply_circuit(state, circuit)\n"
             "print(time.process_time() - cpu, time.perf_counter() - wall)\n"
