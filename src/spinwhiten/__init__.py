@@ -7,6 +7,21 @@ concentrate it back onto a basis state with the inverse quantum Fourier
 transform — measured against conventional acquisition with signal averaging.
 """
 
+import os
+import sys
+
+# OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads it. No matrix
+# product here is large enough to use a second thread, yet an idle worker
+# spins a second core for about 0.1 s after the import. So load numpy with
+# one BLAS thread, then drop the variable again, so that neither later code
+# nor child processes inherit it. A value set by the user is left alone.
+if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .ensemble import SpinEnsemble, gz_whiten, pulse90, receiver_signal
 from .program import PulseProgram, RunReport, check, execute, format_program, parse
 from .qft import dft_matrix, peak_readout, phase_encode, qft_circuit

@@ -276,10 +276,7 @@ def cmd_peak_sweep(cfg: CliConfig, qubits: int, grid: int, out_path: str | None)
     """Concentration of the inverse transform over a dense phase grid."""
     gammas, argmax, peaks = concentration_sweep(qubits, grid)
     csv = ["gamma,argmax,peak_probability"]
-    csv += [
-        f"{_g17(gamma)},{int(arg)},{_g17(peak)}"
-        for gamma, arg, peak in zip(gammas, argmax, peaks)
-    ]
+    csv += map("{:.17g},{},{:.17g}".format, gammas.tolist(), argmax.tolist(), peaks.tolist())
     out_path = out_path or cfg.out_path or "peak_sweep.csv"
     _write_text(out_path, "\n".join(csv) + "\n")
     j = int(peaks.argmin())

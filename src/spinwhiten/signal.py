@@ -174,8 +174,11 @@ def estimate_snr(
     """Peak magnitude over a window divided by noise RMS over another.
 
     Windows are half-open bin ranges [start, stop); they must be non-empty,
-    inside the spectrum, and disjoint. A peak, noise RMS or ratio that is not
-    finite (the spectrum overflowed) raises OutOfRange.
+    inside the spectrum, and disjoint. A peak or noise RMS that is not finite
+    (the spectrum overflowed) raises OutOfRange. A noise RMS at or below
+    64 eps of the peak (about 1.4e-14) raises ZeroNoiseFloor: the transform's
+    own rounding leaves about 3e-16 of the peak in every bin, so such a floor
+    measures rounding, not noise.
     """
     mags = np.abs(spectrum.bins)
     for name, (start, stop) in (("peak", peak_window), ("noise", noise_window)):
@@ -188,12 +191,12 @@ def estimate_snr(
     peak_mag = float(mags[peak_window[0]:peak_window[1]].max())
     noise_bins = mags[noise_window[0]:noise_window[1]]
     noise_rms = float(np.sqrt(np.mean(noise_bins * noise_bins)))
-    if noise_rms < 1e-300:
-        raise ZeroNoiseFloor("noise window RMS is zero")
-    snr = peak_mag / noise_rms
-    if not all(map(math.isfinite, (peak_mag, noise_rms, snr))):
+    if not (math.isfinite(peak_mag) and math.isfinite(noise_rms)):
         raise OutOfRange(f"SNR not finite: peak {peak_mag:g}, noise RMS {noise_rms:g}")
-    return SnrReport(peak_mag, noise_rms, snr)
+    if noise_rms <= 64 * np.finfo(np.float64).eps * peak_mag:
+        raise ZeroNoiseFloor(f"noise window RMS {noise_rms:g} is rounding error "
+                             f"of the peak {peak_mag:g}, not noise")
+    return SnrReport(peak_mag, noise_rms, peak_mag / noise_rms)
 
 
 # --- spin budget and enhancement bookkeeping --------------------------------

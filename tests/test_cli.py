@@ -1,8 +1,10 @@
 """Command-line contract: exit codes, file outputs, byte determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -195,6 +197,8 @@ class TestCat:
         (("--noise", "1e308"), "not finite"),  # the noise overflows to inf
         (("--line", "125,1e308,inf"), "not finite"),  # the average overflows
         (("--noise", "1e200"), "not finite"),  # squaring the noise bins overflows
+        (("--noise", "0"), "rounding error"),  # the noise window holds FFT rounding
+        (("--noise", "1e-299"), "rounding error"),
     ])
     def test_invalid_input_is_usage_error(self, tmp_path, args, message):
         result = run_cli("cat", "--n-list", "1,2", *args, "--out", "cat.csv", cwd=tmp_path)
@@ -215,6 +219,14 @@ class TestCat:
         assert len(result.stderr.splitlines()) == 1
         assert result.stderr.startswith("Error: SNR not finite")
         assert "nan" not in result.stdout
+
+    def test_small_noise_above_rounding_floor_runs(self, tmp_path):
+        # noise RMS about 9e-14 of the peak, above the 64 eps rounding floor
+        result = run_cli("cat", "--n-list", "1,4", "--seeds", "2", "--noise", "1e-12",
+                         cwd=tmp_path)
+        assert result.returncode == 0
+        slope = float(result.stdout.splitlines()[0].removeprefix("log-log slope: "))
+        assert slope == pytest.approx(0.48, abs=0.02)
 
     def test_equal_counts_have_no_slope(self, tmp_path):
         result = run_cli("cat", "--n-list", "1,1", "--seeds", "2", cwd=tmp_path)
@@ -360,3 +372,66 @@ class TestOversizedRequest:
         assert len(result.stderr.splitlines()) == 1
         assert result.stderr.startswith("Error: out of memory")
         assert result.stdout == ""
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+BLAS_THREADS = "OPENBLAS_NUM_THREADS"
+
+
+def run_python(script, cwd=None, **env_changes):
+    """Run `script` in a fresh interpreter without BLAS_THREADS, unless given."""
+    env = subprocess_env()
+    env.pop(BLAS_THREADS, None)
+    env.update(env_changes)
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          cwd=cwd, env=env, check=True)
+
+
+IMPORT_PROBE = """
+import json, os, time
+cpu, wall = time.process_time(), time.perf_counter()
+import spinwhiten.cli
+cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
+task = "/proc/self/task"
+threads = len(os.listdir(task)) if os.path.isdir(task) else None
+print(json.dumps([threads, cpu, wall, os.environ.get("OPENBLAS_NUM_THREADS")]))
+"""
+
+
+class TestBlasThreads:
+    """`import spinwhiten` loads OpenBLAS with one thread, so no idle worker
+    spins a second core, and leaves the environment as it found it."""
+
+    def test_import_leaves_one_thread_and_spins_no_second_core(self):
+        threads, cpu, wall, _ = json.loads(run_python(IMPORT_PROBE).stdout)
+        if threads is None:
+            pytest.skip("no /proc/self/task to count threads in")
+        assert threads == 1
+        assert cpu <= wall + 0.02
+
+    def test_import_removes_the_variable_it_set(self):
+        assert json.loads(run_python(IMPORT_PROBE).stdout)[3] is None
+
+    def test_explicit_setting_is_kept(self):
+        result = run_python(IMPORT_PROBE, **{BLAS_THREADS: "2"})
+        assert json.loads(result.stdout)[3] == "2"
+
+    def test_reports_do_not_depend_on_blas_thread_count(self, tmp_path):
+        commands = [
+            ["run", str(GOLDEN_DIR / "p01_canonical.pp"), "--seed", "7", "--out", "run.json"],
+            ["cat", "--n-list", "1,4,16", "--seeds", "3", "--out", "cat.csv"],
+            ["peak-sweep", "--qubits", "6", "--grid", "2000", "--out", "sweep.csv"],
+        ]
+        script = (
+            "from spinwhiten.cli import main\n"
+            f"for argv in {commands!r}:\n"
+            "    main(argv, standalone_mode=False)\n"
+        )
+        digests = []
+        for name, env in (("default", {}), ("two", {BLAS_THREADS: "2"})):
+            (tmp_path / name).mkdir()
+            run_python(script, cwd=tmp_path / name, **env)
+            digests.append({path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                            for path in (tmp_path / name).iterdir()})
+        assert sorted(digests[0]) == ["cat.csv", "run.json", "sweep.csv"]
+        assert digests[0] == digests[1]

@@ -173,6 +173,13 @@ class TestEstimateSnr:
         with pytest.raises(errors.ZeroNoiseFloor):
             estimate_snr(Spectrum(bins, 1.0), (1, 4), (8, 12))
 
+    def test_noise_floor_is_relative_to_the_peak(self):
+        # 64 eps of the peak is about 1.4e-14; FFT rounding sits near 3e-16
+        with pytest.raises(errors.ZeroNoiseFloor):
+            estimate_snr(self._flat_spectrum(peak=1e100, noise=1e85), (4, 7), (16, 48))
+        report = estimate_snr(self._flat_spectrum(peak=1e100, noise=1e87), (4, 7), (16, 48))
+        assert report.snr == pytest.approx(1e13)
+
     def test_window_overlap(self):
         with pytest.raises(errors.WindowOverlap):
             estimate_snr(self._flat_spectrum(), (4, 10), (8, 16))
@@ -291,11 +298,19 @@ class TestBatchedCatMatchesPerShotSynthesis:
     @pytest.mark.parametrize("n_shots", [1, 31, 32, 33, 63, 64, 65, 200])
     @pytest.mark.parametrize("seed", [3, 2**63 + 12345])
     @pytest.mark.parametrize("noise_sigma", [0.0, 0.5])
-    def test_default_line(self, n_shots, seed, noise_sigma):
-        got = cat_snr(n_shots, seed, noise_sigma=noise_sigma)
-        want = explicit_cat_snr(n_shots, seed, signal.DEFAULT_CAT_LINE, noise_sigma,
-                                signal.DEFAULT_CAT_LENGTH, signal.DEFAULT_CAT_DWELL_S)
-        assert got == want
+    def test_default_line(self, n_shots, seed, noise_sigma, monkeypatch):
+        seen = []
+        real_fft = signal.fft
+        monkeypatch.setattr(signal, "fft", lambda trace: seen.append(trace) or real_fft(trace))
+        args = (n_shots, seed, signal.DEFAULT_CAT_LINE, noise_sigma,
+                signal.DEFAULT_CAT_LENGTH, signal.DEFAULT_CAT_DWELL_S)
+        if noise_sigma:
+            assert cat_snr(n_shots, seed, noise_sigma=noise_sigma) == explicit_cat_snr(*args)
+        else:
+            # without noise the noise window holds only the FFT's rounding
+            with pytest.raises(errors.ZeroNoiseFloor):
+                cat_snr(n_shots, seed, noise_sigma=noise_sigma)
+        assert np.array_equal(seen[0].samples, explicit_cat_average(*args).samples)
 
     @pytest.mark.parametrize("n_shots", [64, 65, 200])
     @pytest.mark.parametrize("line,length", [

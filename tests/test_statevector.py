@@ -285,10 +285,10 @@ class TestWindowedEngine:
     def test_twenty_qubit_inverse_transform_runs_on_one_thread(self):
         # process CPU time counts every BLAS thread, and hypervisor steal only
         # adds wall time; a fresh process keeps out the spinning BLAS threads
-        # that the oracle's large matrix products leave behind. OpenBLAS's
-        # idle workers also spin for up to about 0.1 s after numpy is
-        # imported, so the timed call is the second one: a transform that
-        # woke the workers would keep them spinning through it too
+        # that the oracle's large matrix products leave behind here, where
+        # numpy was imported before spinwhiten could load OpenBLAS with one
+        # thread. The timed call is the second one, so one-off start-up work
+        # stays out of it
         script = (
             "import time\n"
             "from spinwhiten.qft import phase_encode, qft_circuit\n"
