@@ -117,9 +117,13 @@ def peak_readout(probs: np.ndarray) -> tuple[int, float]:
     as tied, so rounding noise in the amplitudes cannot pick the winner of an
     exact tie (a uniform distribution reads out index 0).
     """
-    tied = probs >= probs.max() * (1.0 - _TIE_RTOL)
-    outcome = int(np.argmax(tied))  # argmax returns the first True
+    outcome = int(_peak_indices(probs))
     return outcome, float(probs[outcome])
+
+
+def _peak_indices(probs: np.ndarray) -> np.ndarray:
+    """`peak_readout`'s winner in every row: the first index tied with the maximum."""
+    return (probs >= probs.max(axis=-1, keepdims=True) * (1.0 - _TIE_RTOL)).argmax(axis=-1)
 
 
 def concentration_sweep(n: int, grid_points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -130,8 +134,9 @@ def concentration_sweep(n: int, grid_points: int) -> tuple[np.ndarray, np.ndarra
     256 KiB, which stay in cache through every pass; each chunk is encoded
     into one source buffer and permuted into one output buffer, both
     allocated up front), and returns (gammas, argmax indices,
-    peak probabilities). This is the empirical probe of how sharply a
-    randomized phase concentrates onto one basis state.
+    peak probabilities), each row read as by `peak_readout`. This is the
+    empirical probe of how sharply a randomized phase concentrates onto one
+    basis state.
     """
     if grid_points < 2:
         raise OutOfRange(f"grid must have at least 2 points, got {grid_points}")
@@ -148,6 +153,7 @@ def concentration_sweep(n: int, grid_points: int) -> tuple[np.ndarray, np.ndarra
         block = buffer[: len(part)]
         schedule.apply(encoded, block)
         probs = block.real * block.real + block.imag * block.imag
-        argmax[start : start + chunk] = probs.argmax(axis=1)
-        peaks[start : start + chunk] = probs.max(axis=1)
+        winners = _peak_indices(probs)
+        argmax[start : start + chunk] = winners
+        peaks[start : start + chunk] = probs[np.arange(len(part)), winners]
     return gammas, argmax, peaks

@@ -6,16 +6,15 @@ repeated shots (noise falls as sqrt(N)), and measures SNR as spectral peak
 magnitude over the RMS of a signal-free window. The averaging study
 synthesizes its clean line once and draws the noise of a block of shots in
 one vectorized pass; every shot stays bit-identical to a `synth_fid` call
-with that shot's seed, and the average consumes shots as a stream. Also
-carries the spin-budget decade arithmetic and the register-size enhancement
-report.
+with that shot's seed, and the average sums the blocks' rows in shot order.
+Also carries the spin-budget decade arithmetic and the register-size
+enhancement report.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,31 +138,32 @@ def synth_fid(
 
 def fft(trace: FidTrace) -> Spectrum:
     """Forward transform (unnormalized) into the frequency domain."""
-    length = len(trace.samples)
-    return Spectrum(fourier.fft_forward(trace.samples), 1.0 / (length * trace.dwell_s))
+    return Spectrum(fourier.fft_forward(trace.samples), 1.0 / (len(trace.samples) * trace.dwell_s))
 
 
-def cat_average(traces: Iterable[FidTrace]) -> FidTrace:
+def cat_average(shots: Iterable[np.ndarray], dwell_s: float) -> FidTrace:
     """Pointwise arithmetic mean of repeated acquisitions.
 
-    Consumes `traces` as a stream, in order, holding only the running sum.
-    Accumulates in extended precision so the sum is exact for up to ~2000
-    shots; in particular, averaging identical traces reproduces them bit for
-    bit instead of drifting by an ulp from double rounding.
+    `shots` yields (B, L) blocks or single (L,) traces, consumed as a stream
+    holding only the running sum. Rows are added in shot order (a sequential
+    in-place `np.add.accumulate` over the sum stacked on the block) in
+    extended precision, exact for up to ~2000 shots: identical traces
+    average to themselves bit for bit instead of drifting by an ulp.
     """
-    stream = iter(traces)
-    first = next(stream, None)
-    if first is None:
+    total, count = None, 0
+    for block in shots:
+        rows = np.atleast_2d(block)
+        if total is None:
+            total = np.zeros(rows.shape[1], dtype=np.clongdouble)
+        elif rows.shape[1] != len(total):
+            raise LengthMismatch("all shots must share one length")
+        stack = np.concatenate([total[None], rows])
+        total = np.add.accumulate(stack, axis=0, out=stack)[-1].copy()
+        del stack  # freed before the next block's stack is built
+        count += len(rows)
+    if not count:
         raise EmptyInput("cat_average needs at least one trace")
-    total = np.zeros(len(first.samples), dtype=np.clongdouble)
-    count = 0
-    for trace in itertools.chain([first], stream):
-        if len(trace.samples) != len(first.samples) or trace.dwell_s != first.dwell_s:
-            raise LengthMismatch("all traces must share length and dwell")
-        total += trace.samples
-        count += 1
-    mean = (total / count).astype(np.complex128)
-    return FidTrace(mean, first.dwell_s)
+    return FidTrace((total / count).astype(np.complex128), dwell_s)
 
 
 def estimate_snr(
@@ -190,7 +190,8 @@ def estimate_snr(
         raise WindowOverlap(f"windows {peak_window} and {noise_window} overlap")
     peak_mag = float(mags[peak_window[0]:peak_window[1]].max())
     noise_bins = mags[noise_window[0]:noise_window[1]]
-    noise_rms = float(np.sqrt(np.mean(noise_bins * noise_bins)))
+    exponent = math.frexp(float(noise_bins.max()))[1]  # scaled squares cannot overflow
+    noise_rms = math.ldexp(float(np.sqrt(np.mean(np.ldexp(noise_bins, -exponent) ** 2))), exponent)
     if not (math.isfinite(peak_mag) and math.isfinite(noise_rms)):
         raise OutOfRange(f"SNR not finite: peak {peak_mag:g}, noise RMS {noise_rms:g}")
     if noise_rms <= 64 * np.finfo(np.float64).eps * peak_mag:
@@ -266,7 +267,7 @@ def enhancement_report(n_register_spins: int) -> dict:
     """
     if not 1 <= n_register_spins <= 64:
         raise OutOfRange(f"register spins {n_register_spins} outside [1, 64]")
-    report = {
+    return {
         "n_register_spins": n_register_spins,
         "register_states": 2**n_register_spins,
         "paper_claimed_factor_at_14": 10.0 if n_register_spins == 14 else None,
@@ -276,7 +277,6 @@ def enhancement_report(n_register_spins: int) -> dict:
             "(2^14 = 16384); no enhancement formula is derived here",
         ],
     }
-    return report
 
 
 # --- Monte Carlo averaging experiment ----------------------------------------
@@ -309,16 +309,23 @@ def cat_snr(
     (seed, n_shots) pair is reproducible and shots never share noise. Shot j
     is bit-identical to ``synth_fid([line], length, dwell_s, noise_sigma,
     seed=rng.mix(seed, j))``, but the clean line is synthesized once and the
-    noise of _CAT_SHOT_BLOCK shots is drawn in one pass; shots stream into
-    `cat_average`, so no list of n_shots traces is held. A line whose bin,
+    noise of _CAT_SHOT_BLOCK shots is drawn in one pass into one (B, length)
+    block (without noise, a view of the clean line), which `cat_average`
+    consumes; no trace object per shot is built. A line whose bin,
     round(freq * length * dwell) mod length, misses DEFAULT_PEAK_WINDOW or
     lands in DEFAULT_NOISE_WINDOW raises OutOfRange.
     """
     _check_noise_sigma(noise_sigma)
     # overflow near the float limit is refused by estimate_snr, not warned of
     with np.errstate(over="ignore", invalid="ignore"):
-        clean = synth_fid([line], length, dwell_s)
-        averaged = cat_average(_cat_shots(clean, n_shots, seed, noise_sigma))
+        clean = synth_fid([line], length, dwell_s).samples
+        seeds = rng.words(seed, n_shots)[:, None]
+        blocks = (
+            _add_noise(clean, noise_sigma, seeds[lo:lo + _CAT_SHOT_BLOCK]) if noise_sigma
+            else np.broadcast_to(clean, (min(_CAT_SHOT_BLOCK, n_shots - lo), length))
+            for lo in range(0, n_shots, _CAT_SHOT_BLOCK)
+        )
+        averaged = cat_average(blocks, dwell_s)
         spectrum = fft(averaged)
         _check_line_bin(line, length, dwell_s)
         report = estimate_snr(spectrum, DEFAULT_PEAK_WINDOW, DEFAULT_NOISE_WINDOW)
@@ -335,20 +342,6 @@ def _check_line_bin(line: SpectralLine, length: int, dwell_s: float) -> None:
             f"line at {line.freq_hz:g} Hz falls in bin {line_bin} of {length}, "
             f"outside the fixed peak window [{peak[0]}, {peak[1]})"
         )
-
-
-def _cat_shots(
-    clean: FidTrace, n_shots: int, seed: int, noise_sigma: float
-) -> Iterator[FidTrace]:
-    """The n_shots noisy copies of `clean`, shot j seeded by mix(seed, j)."""
-    if noise_sigma == 0:
-        yield from itertools.repeat(clean, n_shots)
-        return
-    seeds = rng.words(seed, n_shots)
-    for lo in range(0, n_shots, _CAT_SHOT_BLOCK):
-        block = _add_noise(clean.samples, noise_sigma, seeds[lo:lo + _CAT_SHOT_BLOCK, None])
-        for samples in block:
-            yield FidTrace(samples, clean.dwell_s)
 
 
 def cat_experiment(

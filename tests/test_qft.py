@@ -189,9 +189,21 @@ class TestConcentrationSweep:
             gammas, argmax, peaks = concentration_sweep(n, grid)
             for j in (0, chunk - 1, chunk, grid - 1):
                 state = apply_circuit(phase_encode(gammas[j], n), qft_circuit(n, inverse=True))
-                probs = probabilities(state)
-                assert argmax[j] == probs.argmax()
-                assert peaks[j] == pytest.approx(probs.max(), rel=1e-12)
+                outcome, prob = peak_readout(probabilities(state))
+                assert argmax[j] == outcome
+                assert peaks[j] == pytest.approx(prob, rel=1e-12)
+
+    def test_ties_follow_peak_readout(self):
+        # at odd j, gamma * 16 is a half-integer and two outcomes tie exactly;
+        # rounding noise must not pick the larger one
+        n, grid = 4, 32
+        gammas, argmax, peaks = concentration_sweep(n, grid)
+        for j in range(1, grid, 2):
+            state = apply_circuit(phase_encode(gammas[j], n), qft_circuit(n, inverse=True))
+            outcome, prob = peak_readout(probabilities(state))
+            assert argmax[j] == outcome
+            assert peaks[j] == pytest.approx(prob, rel=1e-12)
+        assert argmax[1::2].tolist() == [*range(15), 0]
 
     def test_argmax_follows_rounding_rule(self):
         n, grid = 5, 1000

@@ -120,25 +120,52 @@ class TestTraceAndSpectrum:
 class TestCatAverage:
     def test_identical_traces_average_to_themselves(self):
         trace = synth_fid([SpectralLine(0.1)], 32, 1.0)
-        averaged = cat_average([trace, trace, trace])
-        assert np.array_equal(averaged.samples, trace.samples)
+        block = np.broadcast_to(trace.samples, (3, 32))
+        for shots in ([block], [trace.samples] * 3):
+            averaged = cat_average(shots, 1.0)
+            assert np.array_equal(averaged.samples, trace.samples)
 
     def test_rejects_empty(self):
         with pytest.raises(errors.EmptyInput):
-            cat_average([])
+            cat_average([], 1.0)
         with pytest.raises(errors.EmptyInput):
-            cat_average(iter([]))
+            cat_average(iter([]), 1.0)
+        with pytest.raises(errors.EmptyInput):
+            cat_average([np.zeros((0, 16), dtype=complex)], 1.0)
 
     def test_consumes_a_stream(self):
-        traces = [synth_fid([], 16, 1.0, noise_sigma=1.0, seed=s) for s in range(5)]
-        streamed = cat_average(trace for trace in traces)
-        assert np.array_equal(streamed.samples, cat_average(traces).samples)
+        shots = [synth_fid([], 16, 1.0, noise_sigma=1.0, seed=s).samples for s in range(5)]
+        streamed = cat_average((shot for shot in shots), 1.0)
+        assert np.array_equal(streamed.samples, cat_average(shots, 1.0).samples)
 
-    def test_rejects_mismatched(self):
+    def test_rejects_mismatched_length(self):
         with pytest.raises(errors.LengthMismatch):
-            cat_average([synth_fid([], 16, 1.0), synth_fid([], 32, 1.0)])
-        with pytest.raises(errors.LengthMismatch):
-            cat_average([synth_fid([], 16, 1.0), synth_fid([], 16, 2.0)])
+            cat_average([np.zeros((2, 16), dtype=complex), np.zeros(32, dtype=complex)], 1.0)
+        with pytest.raises(errors.OutOfRange, match="dwell"):
+            cat_average([np.zeros(16, dtype=complex)], 0.0)
+
+    def test_blocks_add_rows_in_shot_order(self):
+        # Large rows cancel only after the small ones were added to them, so
+        # the extended-precision sum rounds differently in any other order.
+        gen = np.random.default_rng(4)
+
+        def rows_of(count, lo, hi):
+            z = gen.standard_normal((count, 16)) + 1j * gen.standard_normal((count, 16))
+            return z * 10.0 ** gen.uniform(lo, hi, (count, 1))
+
+        big, small = rows_of(10, 4, 8), rows_of(21, -8, -4)
+        rows = np.concatenate([big, small, -big[::-1]])
+
+        def loop_mean(ordered):
+            total = np.zeros(16, dtype=np.clongdouble)
+            for row in ordered:
+                total += row
+            return (total / len(ordered)).astype(np.complex128)
+
+        want = loop_mean(rows)
+        assert not np.array_equal(loop_mean(rows[::-1]), want)
+        blocks = [rows[:1], rows[1:8], rows[8:40], rows[40]]  # 1, 7, 32 rows, one (L,)
+        assert np.array_equal(cat_average(blocks, 1.0).samples, want)
 
     def test_noise_rms_halves_at_four_averages(self):
         # Monte Carlo over 100 independent seed groups.
@@ -148,7 +175,7 @@ class TestCatAverage:
                 synth_fid([], 64, 1.0, noise_sigma=1.0, seed=group * 10 + j)
                 for j in range(4)
             ]
-            averaged = cat_average(singles)
+            averaged = cat_average([single.samples for single in singles], 1.0)
             single_rms = np.sqrt(np.mean(np.abs(singles[0].samples) ** 2))
             avg_rms = np.sqrt(np.mean(np.abs(averaged.samples) ** 2))
             ratios.append(avg_rms / single_rms)
@@ -179,6 +206,11 @@ class TestEstimateSnr:
             estimate_snr(self._flat_spectrum(peak=1e100, noise=1e85), (4, 7), (16, 48))
         report = estimate_snr(self._flat_spectrum(peak=1e100, noise=1e87), (4, 7), (16, 48))
         assert report.snr == pytest.approx(1e13)
+
+    def test_noise_far_above_sqrt_of_float_max(self):
+        # squaring 1e200 overflows; the RMS is taken on power-of-two scaled bins
+        report = estimate_snr(self._flat_spectrum(peak=1e201, noise=1e200), (4, 7), (16, 48))
+        assert (report.noise_rms, report.snr) == (1e200, 10.0)
 
     def test_window_overlap(self):
         with pytest.raises(errors.WindowOverlap):
@@ -285,6 +317,15 @@ class TestCatExperiment:
             with pytest.raises(errors.OutOfRange, match="noise sigma"):
                 cat_snr(4, seed=1, noise_sigma=sigma)
 
+    def test_builds_two_traces_for_any_shot_count(self, monkeypatch):
+        # the clean line and the average; shots travel as (B, L) blocks
+        built = []
+        post_init = FidTrace.__post_init__
+        monkeypatch.setattr(FidTrace, "__post_init__",
+                            lambda trace: built.append(trace) or post_init(trace))
+        cat_snr(1024, seed=5)
+        assert len(built) == 2
+
     def test_experiment_reproducible(self):
         a = cat_experiment([1, 2], n_seeds=5, master_seed=9)
         b = cat_experiment([1, 2], n_seeds=5, master_seed=9)
@@ -336,6 +377,14 @@ class TestBatchedCatMatchesPerShotSynthesis:
         assert len(seen) == 1
         assert np.array_equal(seen[0].samples, want.samples)
         assert seen[0].dwell_s == want.dwell_s
+
+    @pytest.mark.parametrize("n_shots", [1, 33, 65])
+    def test_noiseless_decaying_line(self, n_shots):
+        # without noise the blocks are broadcast views of the clean line; the
+        # decay puts signal into the noise window, so an SNR is measured
+        line = SpectralLine(125.0, 1.0, t2_s=0.01)
+        got = cat_snr(n_shots, 5, line=line, noise_sigma=0.0)
+        assert got == explicit_cat_snr(n_shots, 5, line, 0.0, 256, 1e-3)
 
     def test_peak_memory_does_not_grow_with_shots(self):
         # 1024 traces of 256 samples alone hold 4 MiB.
