@@ -261,8 +261,9 @@ class RunReport:
 
 
 def _sample_outcomes(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    """Histogram of `shots` draws from probs via the counter-based stream."""
-    cum = np.cumsum(probs)
+    """Histogram of `shots` draws from probs via the counter-based stream;
+    probs is overwritten by its cumulative sum."""
+    cum = np.cumsum(probs, out=probs)
     draws = rng.uniforms(seed, shots) * cum[-1]  # scale absorbs rounding in the total
     outcomes = np.searchsorted(cum, draws, side="right")
     np.clip(outcomes, 0, len(probs) - 1, out=outcomes)
@@ -336,6 +337,7 @@ def execute(
         else:  # Acquire
             state = registers[active_register]
             probs = probabilities(state)
+            report.peak = peak_readout(probs)  # before sampling overwrites probs
             seed = rng.derive(master_seed, f"acquire:{acquire_index}")
             acquire_index += 1
             counts = _sample_outcomes(probs, stmt.shots, seed)
@@ -348,7 +350,6 @@ def execute(
                 combined[: len(report.histogram)] += report.histogram
                 combined[: len(counts)] += counts
                 report.histogram = combined
-            report.peak = peak_readout(probs)
             detail = (
                 f"register {active_register}, shots {stmt.shots}, "
                 f"mode {int(counts.argmax())}"

@@ -24,6 +24,7 @@ from .statevector import (
     GateOp,
     StateVector,
     compile_circuit,
+    memory_index,
 )
 
 
@@ -123,36 +124,39 @@ def peak_readout(probs: np.ndarray) -> tuple[int, float]:
 
 def _peak_indices(probs: np.ndarray) -> np.ndarray:
     """`peak_readout`'s winner in every row: the first index tied with the maximum."""
-    return (probs >= probs.max(axis=-1, keepdims=True) * (1.0 - _TIE_RTOL)).argmax(axis=-1)
+    top = np.take_along_axis(probs, probs.argmax(axis=-1)[..., np.newaxis], axis=-1)
+    return (probs >= top * (1.0 - _TIE_RTOL)).argmax(axis=-1)
 
 
 def concentration_sweep(n: int, grid_points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Inverse-transform concentration over the grid gamma = j / grid_points.
 
-    Encodes every grid phase, runs each through the inverse transform circuit
-    (compiled once, then applied to chunks of (1 << 14) >> n rows, about
-    256 KiB, which stay in cache through every pass; each chunk is encoded
-    into one source buffer and permuted into one output buffer, both
-    allocated up front), and returns (gammas, argmax indices,
-    peak probabilities), each row read as by `peak_readout`. This is the
-    empirical probe of how sharply a randomized phase concentrates onto one
-    basis state.
+    Encodes every grid phase and runs each through the inverse transform
+    circuit (compiled once, then applied in place to chunks of
+    (1 << 14) >> n rows, about 256 KiB, which stay in cache through every
+    pass; every chunk is encoded into the one buffer allocated up front).
+    The transform leaves the rows in bit-reversed order, so each chunk's
+    probabilities are read in natural order through `memory_index`. Returns
+    (gammas, argmax indices, peak probabilities), each row read as by
+    `peak_readout`. This is the empirical probe of how sharply a randomized
+    phase concentrates onto one basis state.
     """
     if grid_points < 2:
         raise OutOfRange(f"grid must have at least 2 points, got {grid_points}")
-    schedule = compile_circuit(qft_circuit(n, inverse=True))
+    schedule, order = compile_circuit(qft_circuit(n, inverse=True), tuple(range(n)))
+    natural = memory_index(order)
     gammas = np.arange(grid_points) / grid_points
     chunk = max(1, (1 << 14) >> n)
-    source = np.empty((min(chunk, grid_points), 1 << n), dtype=np.complex128)
-    buffer = np.empty_like(source)
+    buffer = np.empty((min(chunk, grid_points), 1 << n), dtype=np.complex128)
     argmax = np.empty(grid_points, dtype=np.int64)
     peaks = np.empty(grid_points, dtype=np.float64)
     for start in range(0, grid_points, chunk):
         part = gammas[start : start + chunk]
-        encoded = phase_encode_block(part, n, source[: len(part)])
-        block = buffer[: len(part)]
-        schedule.apply(encoded, block)
-        probs = block.real * block.real + block.imag * block.imag
+        block = phase_encode_block(part, n, buffer[: len(part)])
+        schedule.apply(block)
+        probs = block.real * block.real
+        probs += block.imag * block.imag
+        probs = probs[:, natural]
         winners = _peak_indices(probs)
         argmax[start : start + chunk] = winners
         peaks[start : start + chunk] = probs[np.arange(len(part)), winners]

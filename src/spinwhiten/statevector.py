@@ -1,8 +1,10 @@
 """Dense statevector register and its one gate engine.
 
-Amplitudes are stored as one complex128 array of length 2**n. Qubit 0 is the
-MOST significant bit of the basis index, so reshaping the array to
-``[2] * n`` puts qubit q on axis q. No Kronecker product is ever
+Amplitudes are stored as one complex128 array of length 2**n, and the
+register records which qubit each memory axis holds: reshaped to
+``[2] * n``, memory axis p (bit n - 1 - p of the memory index) holds qubit
+``order[p]``. In natural order, the identity, qubit 0 is the MOST
+significant bit of the basis index. No Kronecker product is ever
 materialized outside the dense-matrix oracle.
 
 The gate set is the Fourier-transform kit: Hadamard, phase shift, controlled
@@ -11,14 +13,16 @@ phase is exp(+-2*pi*i / 2**m)) plus a dagger flag selecting the conjugate,
 which is what an inverse transform needs while keeping m positive.
 
 `Circuit` keeps the gate list as written; every register operation runs it
-through `compile_circuit`, which turns it into a `Schedule` once per call:
+through `compile_circuit`, which turns it, for the register's current order,
+into a `Schedule` of in-place steps and the order the register holds after
+them:
 
-- the swaps become one permutation of the qubit axes, applied first as the
-  copy `Schedule.apply(src, dst)` makes from its input block into its output
-  block, and every later gate is relabeled to the axis that then holds its
-  qubit;
-- the register is cut into ceil(n / 6) near-equal windows of adjacent
-  qubits, and the gates inside one window become one dense 2**k unitary,
+- a swap moves no amplitude: it exchanges two entries of the order, and
+  every other gate is relabeled to the memory axis that holds its qubit when
+  it runs (Häner & Steiger, arXiv:1704.01127, track the qubit-to-bit mapping
+  the same way);
+- the memory axes are cut into ceil(n / 6) near-equal windows of adjacent
+  axes, and the gates inside one window become one dense 2**k unitary,
   built from the exact per-gate matrices and applied by one stacked
   `np.matmul` per 256 KiB tile of small GEMMs (general matrix multiplies);
 - controlled phases that cross windows, and windows without a Hadamard,
@@ -32,11 +36,19 @@ step between neighbours, the four-step FFT split. Each GEMM stays at or below
 __init__), larger GEMMs gain nothing, as the 20-qubit inverse transform took
 0.090 s at 2**15, 0.088 s at 2**16 and 0.095 s at 2**17. The dense steps round differently from a
 gate-by-gate sweep, at the level of 1e-16 per amplitude.
+
+Readout restores natural order once. The map from natural to memory index
+moves each bit on its own, so it splits into two tables of at most
+2**ceil(n / 2) entries over the high and low halves of the index
+(`index_tables`); `probabilities`, `dense_matrix`,
+`StateVector.natural_amps` and `qft.concentration_sweep` all gather through
+them.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -142,13 +154,29 @@ class Circuit:
 
 @dataclass
 class StateVector:
-    """Pure state of an n-qubit register; a value, never shared mutably."""
+    """Pure state of an n-qubit register, changed in place.
+
+    Memory axis p of `amps` holds qubit order[p]; the default order is the
+    identity, natural order. `apply_circuit` rewrites `amps` and `order` of
+    the register it is given, so a caller that needs the input state again
+    copies it first.
+    """
 
     num_qubits: int
     amps: np.ndarray = field(repr=False)
+    order: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        if not self.order:
+            self.order = tuple(range(self.num_qubits))
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
+
+    def natural_amps(self) -> np.ndarray:
+        """Amplitudes in natural order, a new array: entry x is the amplitude
+        of basis state |x>, qubit 0 its most significant bit."""
+        return self.amps[memory_index(self.order)]
 
 
 def new_state(n: int, basis_index: int = 0) -> StateVector:
@@ -165,11 +193,11 @@ def new_state(n: int, basis_index: int = 0) -> StateVector:
 
 # --- the register engine -----------------------------------------------------
 #
-# A circuit is compiled once into a Schedule: its swaps become one qubit
-# permutation, and its other gates are placed into steps that each make one
-# pass over the amplitude block.
+# A circuit is compiled into a Schedule for the register's order: its swaps
+# change only the order, and its other gates go into steps that each make one
+# pass over the amplitude block, in place.
 
-_WINDOW_QUBITS = 6  # a dense step acts on at most 6 adjacent qubits
+_WINDOW_QUBITS = 6  # a dense step acts on at most 6 adjacent memory axes
 _GEMM_MACS = 1 << 15  # multiply-adds per GEMM; larger ones measured no faster
 _SCRATCH_AMPS = 1 << 14  # 256 KiB: a dense step's output tile before copy-back
 
@@ -183,10 +211,13 @@ def _window_sizes(n: int) -> list[int]:
 
 @dataclass(frozen=True)
 class DenseStep:
-    """Multiply the window of qubits lo .. lo + k - 1 by its 2**k unitary."""
+    """Multiply the window of memory axes lo .. lo + k - 1 by its 2**k unitary."""
 
     lo: int
     matrix: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        self.matrix.flags.writeable = False  # shared through the schedule cache
 
     def apply(self, block: np.ndarray) -> None:
         # The window splits the flat index into (outer, window, inner). Each
@@ -222,13 +253,17 @@ class DiagonalStep:
     """Commuting phase gates as phase tables, one per window or pair of
     windows that the gates name, in the order the gates first use them.
 
-    Each table has one axis per qubit, size 2 where a gate of its part names
-    the qubit and 1 elsewhere, so it broadcasts over the block; a gate names
-    at most two windows of at most 6 qubits, so a table has at most 2**12
-    entries.
+    Each table has one axis per memory axis, size 2 where a gate of its part
+    names the axis and 1 elsewhere, so it broadcasts over the block; a gate
+    names at most two windows of at most 6 axes, so a table has at most
+    2**12 entries.
     """
 
     tables: tuple[np.ndarray, ...] = field(repr=False)
+
+    def __post_init__(self):
+        for table in self.tables:
+            table.flags.writeable = False  # shared through the schedule cache
 
     def apply(self, block: np.ndarray) -> None:
         # numpy merges neighbouring axes the table treats alike, so the
@@ -239,8 +274,8 @@ class DiagonalStep:
 
 
 def _window_matrix(lo: int, k: int, gates: list[GateOp]) -> np.ndarray:
-    """2**k unitary of gates on qubits lo .. lo + k - 1, built gate by gate
-    from each gate's exact matrix; row and column bits follow the qubits,
+    """2**k unitary of gates on memory axes lo .. lo + k - 1, built gate by
+    gate from each gate's exact matrix; row and column bits follow the axes,
     most significant first."""
     size = 1 << k
     matrix = np.eye(size, dtype=np.complex128)
@@ -260,8 +295,9 @@ def _window_matrix(lo: int, k: int, gates: list[GateOp]) -> np.ndarray:
 
 
 def _phase_table(n: int, gates: list[GateOp]) -> np.ndarray:
-    """Phases of commuting phase gates as one table with an axis per qubit:
-    size 2 where a gate names the qubit, else 1."""
+    """Phases of commuting phase gates, relabeled to memory axes, as one
+    table with an axis per memory axis: size 2 where a gate names the axis,
+    else 1."""
     named = {q for gate in gates for q in gate.qubits}
     table = np.ones([2 if q in named else 1 for q in range(n)], dtype=np.complex128)
     for gate in gates:
@@ -271,28 +307,15 @@ def _phase_table(n: int, gates: list[GateOp]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Schedule:
-    """A circuit compiled for the engine.
+    """A circuit compiled for the engine: steps that run in place, in order."""
 
-    Running it permutes the qubit axes once (`axes`: permuted axis p takes
-    axis axes[p]), which stands for every swap of the circuit, then applies
-    `steps` in order.
-    """
-
-    num_qubits: int
-    axes: tuple[int, ...]
     steps: tuple[DenseStep | DiagonalStep, ...]
 
-    def apply(self, src: np.ndarray, dst: np.ndarray) -> None:
-        """dst = the schedule applied to every row of src, both C-contiguous
-        (batch, 2**n) blocks.
-
-        The copy of src into dst is the permutation; the steps then run in
-        place on dst. src is left untouched.
-        """
-        shape = (src.shape[0],) + (2,) * self.num_qubits
-        dst.reshape(shape)[...] = src.reshape(shape).transpose(0, *(1 + a for a in self.axes))
+    def apply(self, block: np.ndarray) -> None:
+        """Run every step, in place, on each row of a C-contiguous
+        (batch, 2**n) block."""
         for step in self.steps:
-            step.apply(dst)
+            step.apply(block)
 
 
 @dataclass
@@ -317,29 +340,29 @@ class _Group:
         return not blockers.isdisjoint(gate.qubits)
 
 
-def compile_circuit(circuit: Circuit) -> Schedule:
-    """Compile a circuit's gate list into a Schedule.
+@functools.lru_cache(maxsize=8)
+def compile_circuit(
+    circuit: Circuit, order: tuple[int, ...]
+) -> tuple[Schedule, tuple[int, ...]]:
+    """Compile a circuit for a register whose memory axis p holds qubit
+    order[p]: the Schedule of its gates and the order the register holds
+    after them.
 
-    Swaps are removed by relabeling: the input is permuted by their product
-    up front, and each later gate acts on the axis that then holds its
-    qubit. The register is cut into ceil(n / 6) near-equal windows of
-    adjacent qubits. Each gate goes into the latest step that can take it
-    and that it commutes past (gates commute when they share no qubit or are
-    both diagonal): a gate inside one window joins that window's dense step,
-    a controlled phase that crosses windows joins a diagonal step. A gate
-    that finds no such step opens a new one at the end. A window's step
-    without a Hadamard is diagonal too, and runs as a phase table.
+    A swap exchanges its qubits' axes in the order, and every other gate acts
+    on the axis that holds its qubit when it runs. Each gate goes into the
+    latest step that can take it and that it commutes past (gates commute
+    when they share no qubit or are both diagonal): a gate inside one window
+    of axes joins that window's dense step, a controlled phase that crosses
+    windows joins a diagonal step. A gate that finds no such step opens a new
+    one at the end. A window's step without a Hadamard is diagonal too, and
+    runs as a phase table. The last 8 results are cached on (circuit, order);
+    callers share them, so their arrays are read-only.
     """
     n = circuit.num_qubits
     sizes = _window_sizes(n)
     window_of = [w for w, size in enumerate(sizes) for _ in range(size)]
-    axes = list(range(n))
-    for gate in circuit.gates:
-        if gate.kind is GateKind.SWAP:
-            a, b = gate.qubits
-            axes[a], axes[b] = axes[b], axes[a]
-    where = [0] * n  # qubit -> axis that holds it
-    for axis, q in enumerate(axes):
+    where = [0] * n  # qubit -> memory axis that holds it
+    for axis, q in enumerate(order):
         where[q] = axis
     groups: list[_Group] = []
     for gate in circuit.gates:
@@ -374,27 +397,67 @@ def compile_circuit(circuit: Circuit) -> Schedule:
         for gate in group.gates:
             parts.setdefault(frozenset(window_of[q] for q in gate.qubits), []).append(gate)
         steps.append(DiagonalStep(tuple(_phase_table(n, part) for part in parts.values())))
-    return Schedule(n, tuple(axes), tuple(steps))
+    # the order after the circuit: the qubits sorted by the axis that holds them
+    return Schedule(tuple(steps)), tuple(sorted(range(n), key=where.__getitem__))
+
+
+def index_tables(order: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Tables (high, low) that find natural index x in a register whose memory
+    axis p holds qubit order[p]: x sits at memory index
+    high[x >> k] | low[x & (2**k - 1)], with 2**k = len(low), k = ceil(n / 2).
+    The map moves each bit of x on its own, so it splits over the two halves.
+    """
+    n = len(order)
+    weight = 1 << (n - 1 - np.argsort(order))  # memory-index bit of each qubit
+    k = (n + 1) // 2
+
+    def table(weights: np.ndarray) -> np.ndarray:
+        bits = (np.arange(1 << len(weights))[:, np.newaxis]
+                >> np.arange(len(weights) - 1, -1, -1)) & 1
+        return bits @ weights
+
+    return table(weight[: n - k]), table(weight[n - k :])
+
+
+def memory_index(order: tuple[int, ...]) -> np.ndarray:
+    """Memory index of every natural index of a register in `order`."""
+    high, low = index_tables(order)
+    return (high[:, np.newaxis] | low).ravel()
 
 
 # --- public operations -------------------------------------------------------
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
-    """Apply a circuit's gates in list order, returning a new state; the
-    output copy is also the swaps' one permutation."""
+    """Apply a circuit's gates in list order to the register, in place, and
+    return it: the steps rewrite `state.amps`, and the swaps only its
+    order."""
     if circuit.num_qubits != state.num_qubits:
         raise QubitCountMismatch(
             f"circuit has {circuit.num_qubits} qubits, state has {state.num_qubits}"
         )
-    out = StateVector(state.num_qubits, np.empty_like(state.amps))
-    compile_circuit(circuit).apply(state.amps[np.newaxis, :], out.amps[np.newaxis, :])
-    return out
+    schedule, order = compile_circuit(circuit, state.order)
+    schedule.apply(state.amps[np.newaxis, :])
+    state.order = order
+    return state
 
 
 def probabilities(state: StateVector) -> np.ndarray:
-    """Born-rule outcome distribution |amp_x|^2 over all 2**n basis states."""
-    amps = state.amps
-    return amps.real * amps.real + amps.imag * amps.imag
+    """Born-rule outcome distribution |amp_x|^2 over all 2**n basis states,
+    in natural order whatever the register's order.
+
+    The amplitudes are gathered through `index_tables` about 2**14 at a
+    time, straight into the float64 output, so no second state-size array
+    is made.
+    """
+    high, low = index_tables(state.order)
+    out = np.empty(state.amps.size, dtype=np.float64)
+    rows = max(1, _SCRATCH_AMPS // low.size)
+    for r in range(0, high.size, rows):
+        tile = state.amps[(high[r : r + rows, np.newaxis] | low).ravel()]
+        probs = out[r * low.size : r * low.size + tile.size]
+        np.multiply(tile.real, tile.real, out=probs)
+        probs += tile.imag * tile.imag
+    return out
 
 
 def dense_matrix(circuit: Circuit) -> np.ndarray:
@@ -408,9 +471,9 @@ def dense_matrix(circuit: Circuit) -> np.ndarray:
         raise OracleScaleExceeded(
             f"dense matrix limited to {ORACLE_MAX_QUBITS} qubits, got {n}"
         )
-    # Row b of the block is the basis state |b>; after the sweep, row b holds
-    # the amplitudes of U|b>, i.e. the block is U transposed.
-    basis = np.eye(1 << n, dtype=np.complex128)
-    block = np.empty_like(basis)
-    compile_circuit(circuit).apply(basis, block)
-    return block.T.copy()
+    # Row b of the block is the basis state |b>; after the steps, row b holds
+    # U|b> in memory order, so column x of U is row x read in natural order.
+    block = np.eye(1 << n, dtype=np.complex128)
+    schedule, order = compile_circuit(circuit, tuple(range(n)))
+    schedule.apply(block)
+    return block.T[memory_index(order)]

@@ -1,5 +1,6 @@
 """DSL parser, protocol checker, and interpreter."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -290,6 +291,22 @@ class TestExecute:
             execute(parse(source), ensemble_size=4, master_seed=0, max_qubits=4)
         report = execute(parse(source), ensemble_size=4, master_seed=0, max_qubits=5)
         assert report.histogram.sum() == 4
+
+    def test_twenty_qubit_register_allocation_peak(self):
+        # the 16 MiB state, its 8 MiB probabilities (sampling sums them in
+        # place) and the 8 MiB histogram; the transform adds no second state
+        k = 12345
+        source = (f"pulse90 t\nwhiten t seed={rng.seed_for_gamma(k / 2**20)}\n"
+                  "encode r 20\niqft r\nacquire shots=4096\n")
+        program = parse(source)
+        tracemalloc.start()
+        try:
+            report = execute(program, ensemble_size=1000, master_seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.peak[0] == k
+        assert peak <= 32.5 * 2**20
 
 
 class TestRunReportJson:

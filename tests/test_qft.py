@@ -57,7 +57,7 @@ class TestCircuitShape:
 
     def test_transform_of_ground_state_is_uniform(self):
         out = apply_circuit(new_state(2, 0), qft_circuit(2))
-        np.testing.assert_allclose(out.amps, np.full(4, 0.5), atol=1e-15)
+        np.testing.assert_allclose(out.natural_amps(), np.full(4, 0.5), atol=1e-15)
 
     def test_size_guard(self):
         with pytest.raises(errors.QubitCountExceeded):
@@ -109,7 +109,27 @@ class TestTransformEquivalence:
         back = apply_circuit(
             apply_circuit(state, qft_circuit(n)), qft_circuit(n, inverse=True)
         )
+        # the inverse's swaps undo the forward's: the order is natural again
+        assert back.order == tuple(range(n))
         assert np.abs(back.amps - amps).max() <= 1e-9
+
+    @pytest.mark.parametrize("n", [13, 16, 20, 22])
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_matches_numpy_fft_on_random_states(self, n, inverse):
+        # np.fft shares no code with the engine; n = 13 splits into windows
+        # of 5, 4, 4 qubits and n = 22 into 6, 6, 5, 5
+        rng = np.random.default_rng(1000 + n)
+        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        amps /= np.linalg.norm(amps)
+        state = new_state(n, 0)
+        state.amps[:] = amps
+        if inverse:
+            expected = np.fft.fft(amps) / np.sqrt(1 << n)
+        else:
+            expected = np.fft.ifft(amps) * np.sqrt(1 << n)
+        del amps
+        got = apply_circuit(state, qft_circuit(n, inverse=inverse)).natural_amps()
+        assert np.abs(got - expected).max() <= 1e-12
 
 
 class TestPhaseEncode:
@@ -128,7 +148,7 @@ class TestPhaseEncode:
     def test_dyadic_encoding_equals_transformed_basis_state(self, n, k):
         direct = phase_encode(k / (1 << n), n)
         via_circuit = apply_circuit(new_state(n, k), qft_circuit(n))
-        assert np.abs(direct.amps - via_circuit.amps).max() <= 1e-12
+        assert np.abs(direct.amps - via_circuit.natural_amps()).max() <= 1e-12
 
     @pytest.mark.parametrize("n,k", [(2, 1), (3, 3), (5, 17), (8, 200)])
     def test_inverse_transform_recovers_dyadic_index(self, n, k):

@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from spinwhiten.statevector import (
     apply_circuit,
     compile_circuit,
     dense_matrix,
+    memory_index,
     new_state,
     probabilities,
 )
@@ -31,6 +33,25 @@ INV_SQRT2 = 1 / np.sqrt(2)
 
 def _apply_one(state, gate):
     return apply_circuit(state, Circuit(state.num_qubits, (gate,)))
+
+
+def _copy(state):
+    # apply_circuit runs in place, so a state used twice is copied first
+    return replace(state, amps=state.amps.copy())
+
+
+NATURAL8 = tuple(range(8))  # natural order of an 8-qubit register
+
+
+@pytest.fixture
+def narrow_windows(monkeypatch):
+    """Set the window width for one test; the schedule cache is cleared on
+    both sides, so no schedule compiled at another width is reused."""
+    def narrow(width):
+        compile_circuit.cache_clear()
+        monkeypatch.setattr(statevector, "_WINDOW_QUBITS", width)
+    yield narrow
+    compile_circuit.cache_clear()
 
 
 class TestNewState:
@@ -54,11 +75,11 @@ class TestNewState:
 class TestApplyGate:
     def test_hadamard_on_zero(self):
         out = _apply_one(new_state(1, 0), GateOp.hadamard(0))
-        np.testing.assert_allclose(out.amps, [INV_SQRT2, INV_SQRT2], atol=1e-15)
+        np.testing.assert_allclose(out.natural_amps(), [INV_SQRT2, INV_SQRT2], atol=1e-15)
 
     def test_hadamard_on_one(self):
         out = _apply_one(new_state(1, 1), GateOp.hadamard(0))
-        np.testing.assert_allclose(out.amps, [INV_SQRT2, -INV_SQRT2], atol=1e-15)
+        np.testing.assert_allclose(out.natural_amps(), [INV_SQRT2, -INV_SQRT2], atol=1e-15)
 
     def test_hadamard_is_involution(self):
         rng = np.random.default_rng(11)
@@ -67,43 +88,49 @@ class TestApplyGate:
         state = new_state(1, 0)
         state.amps[:] = amps
         twice = _apply_one(_apply_one(state, GateOp.hadamard(0)), GateOp.hadamard(0))
-        np.testing.assert_allclose(twice.amps, amps, atol=1e-12)
+        np.testing.assert_allclose(twice.natural_amps(), amps, atol=1e-12)
 
     def test_controlled_phase_order_one_flips_sign_of_11(self):
         out = _apply_one(new_state(2, 3), GateOp.controlled_phase(0, 1, order=1))
-        np.testing.assert_allclose(out.amps, [0, 0, 0, -1], atol=1e-15)
+        np.testing.assert_allclose(out.natural_amps(), [0, 0, 0, -1], atol=1e-15)
 
     def test_controlled_phase_leaves_other_basis_states(self):
         for idx in (0, 1, 2):
             out = _apply_one(new_state(2, idx), GateOp.controlled_phase(0, 1, order=1))
-            np.testing.assert_allclose(out.amps, new_state(2, idx).amps, atol=1e-15)
+            np.testing.assert_allclose(out.natural_amps(), new_state(2, idx).amps, atol=1e-15)
 
     def test_controlled_phase_dagger_conjugates(self):
         gate = GateOp.controlled_phase(0, 1, order=3)
         dag = GateOp.controlled_phase(0, 1, order=3, dagger=True)
         state = _apply_one(new_state(2, 3), gate)
         np.testing.assert_allclose(
-            _apply_one(state, dag).amps, new_state(2, 3).amps, atol=1e-15
+            _apply_one(state, dag).natural_amps(), new_state(2, 3).amps, atol=1e-15
         )
 
     def test_phase_shift_targets_one_component(self):
         state = _apply_one(new_state(1, 0), GateOp.hadamard(0))
         out = _apply_one(state, GateOp.phase_shift(0, order=2))
-        np.testing.assert_allclose(out.amps, [INV_SQRT2, 1j * INV_SQRT2], atol=1e-15)
+        np.testing.assert_allclose(out.natural_amps(), [INV_SQRT2, 1j * INV_SQRT2], atol=1e-15)
 
     def test_swap_exchanges_bits(self):
         # qubit 0 is the MSB: |01> = index 1 maps to |10> = index 2
         out = _apply_one(new_state(2, 1), GateOp.swap(0, 1))
-        np.testing.assert_allclose(out.amps, new_state(2, 2).amps, atol=1e-15)
+        np.testing.assert_allclose(out.natural_amps(), new_state(2, 2).amps, atol=1e-15)
+        # the swap moved no amplitude, only the order
+        assert out.amps.tolist() == [0, 1, 0, 0]
+        assert out.order == (1, 0)
 
     def test_qubit0_is_most_significant(self):
         out = _apply_one(new_state(2, 0), GateOp.hadamard(0))
-        np.testing.assert_allclose(out.amps, [INV_SQRT2, 0, INV_SQRT2, 0], atol=1e-15)
+        np.testing.assert_allclose(out.natural_amps(), [INV_SQRT2, 0, INV_SQRT2, 0],
+                                   atol=1e-15)
 
-    def test_input_state_untouched(self):
+    def test_runs_in_place(self):
         state = new_state(1, 0)
-        _apply_one(state, GateOp.hadamard(0))
-        assert state.amps.tolist() == [1, 0]
+        amps = state.amps
+        out = _apply_one(state, GateOp.hadamard(0))
+        assert out is state and out.amps is amps
+        np.testing.assert_allclose(amps, [INV_SQRT2, INV_SQRT2], atol=1e-15)
 
     def test_invalid_qubit_index(self):
         with pytest.raises(errors.InvalidQubitIndex):
@@ -122,14 +149,14 @@ class TestApplyGate:
 
 class TestApplyCircuit:
     def test_empty_circuit_is_identity(self):
-        state = new_state(3, 5)
-        out = apply_circuit(state, Circuit(3))
-        assert np.array_equal(out.amps, state.amps)
+        out = apply_circuit(new_state(3, 5), Circuit(3))
+        assert np.array_equal(out.amps, new_state(3, 5).amps)
+        assert out.order == (0, 1, 2)
 
     def test_double_hadamard(self):
         circuit = Circuit(1, (GateOp.hadamard(0), GateOp.hadamard(0)))
         out = apply_circuit(new_state(1, 0), circuit)
-        np.testing.assert_allclose(out.amps, [1, 0], atol=1e-12)
+        np.testing.assert_allclose(out.natural_amps(), [1, 0], atol=1e-12)
 
     def test_qubit_count_mismatch(self):
         with pytest.raises(errors.QubitCountMismatch):
@@ -138,6 +165,22 @@ class TestApplyCircuit:
     def test_circuit_validates_gates(self):
         with pytest.raises(errors.InvalidQubitIndex):
             Circuit(2, (GateOp.hadamard(2),))
+
+    def test_equal_calls_compile_once_into_read_only_arrays(self):
+        # equal circuits on registers in equal orders share one schedule
+        compile_circuit.cache_clear()
+        for _ in range(2):
+            apply_circuit(phase_encode(0.3, 8), qft_circuit(8, inverse=True))
+        info = compile_circuit.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        schedule, _ = compile_circuit(qft_circuit(8, inverse=True), NATURAL8)
+        arrays = []
+        for step in schedule.steps:
+            arrays += step.tables if isinstance(step, DiagonalStep) else [step.matrix]
+        assert len(arrays) == 3
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 0
 
 
 class TestProbabilities:
@@ -154,6 +197,16 @@ class TestProbabilities:
         state = _random_state(4, seed=3)
         assert abs(probabilities(state).sum() - 1.0) <= 1e-9
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 15])
+    def test_reads_natural_order_from_any_record(self, n):
+        # the index tables against a transpose of the memory axes; at n = 15
+        # the gather runs over several tiles
+        state = _random_state(n, seed=20 + n)
+        state.order = tuple(int(q) for q in np.random.default_rng(n).permutation(n))
+        natural = state.amps.reshape([2] * n).transpose(np.argsort(state.order)).ravel()
+        assert np.array_equal(state.natural_amps(), natural)
+        assert np.array_equal(probabilities(state), natural.real ** 2 + natural.imag ** 2)
+
 
 class TestDenseMatrix:
     def test_single_hadamard(self):
@@ -169,7 +222,7 @@ class TestDenseMatrix:
         circuit = _random_circuit(3, 12, seed=5)
         matrix = dense_matrix(circuit)
         for x in range(8):
-            column = apply_circuit(new_state(3, x), circuit).amps
+            column = apply_circuit(new_state(3, x), circuit).natural_amps()
             np.testing.assert_allclose(matrix[:, x], column, atol=1e-14)
 
     def test_oracle_scale_guard(self):
@@ -199,32 +252,35 @@ class TestFusedPhaseRuns:
             assert np.abs(dense_matrix(circuit) - circuit_matrix(circuit)).max() <= 1e-12
 
     @pytest.mark.parametrize("window", [1, 2, 3])
-    def test_runs_split_across_several_factors(self, window, monkeypatch):
+    def test_runs_split_across_several_factors(self, window, narrow_windows):
         # narrow windows cut 6 qubits into 2..6 windows, so a run's partners
         # fall in several windows and its diagonal step holds several
         # window-pair tables
-        monkeypatch.setattr(statevector, "_WINDOW_QUBITS", window)
+        narrow_windows(window)
         for seed in range(4):
             circuit = _phase_run_circuit(6, 100 + seed)
             assert np.abs(dense_matrix(circuit) - circuit_matrix(circuit)).max() <= 1e-12
 
     def test_twenty_qubit_inverse_transform_allocation_peak(self):
-        # the output copy (16 MiB) plus the dense steps' 256 KiB scratch tile
+        # the steps run in place: the dense steps' 256 KiB scratch tile and,
+        # with the cache cold, the compiled schedule, but no second state
         state = phase_encode(0.3, 20)
         circuit = qft_circuit(20, inverse=True)
+        compile_circuit.cache_clear()
         tracemalloc.start()
         try:
             apply_circuit(state, circuit)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 18 * 2**20
+        assert peak <= 2**20
 
 
 class TestWindowedEngine:
     """Registers of 7 or more qubits span several windows, so the compiled
-    schedule mixes dense window steps, diagonal steps and the swaps'
-    permutation; the Kronecker-product oracle applies the gates one by one."""
+    schedule mixes dense window steps and diagonal steps, and swaps relabel
+    the gates after them; the Kronecker-product oracle applies the gates one
+    by one."""
 
     @pytest.mark.parametrize("n", [7, 8, 9])
     @pytest.mark.parametrize("seed", range(3))
@@ -249,37 +305,52 @@ class TestWindowedEngine:
         circuit = _crossing_circuit(8, 50 + seed)
         state = _random_state(8, seed)
         expected = circuit_matrix(circuit) @ state.amps
-        assert np.abs(apply_circuit(state, circuit).amps - expected).max() <= 1e-12
+        assert np.abs(apply_circuit(state, circuit).natural_amps() - expected).max() <= 1e-12
 
     @pytest.mark.parametrize("window", [1, 2, 3])
-    def test_diagonal_steps_split_into_runs(self, window, monkeypatch):
+    def test_diagonal_steps_split_into_runs(self, window, narrow_windows):
         # narrow windows cut 8 qubits into 3..8 windows, so each cross-window
         # phase group names many window pairs and holds one table per pair
-        monkeypatch.setattr(statevector, "_WINDOW_QUBITS", window)
+        narrow_windows(window)
         for circuit in (qft_circuit(8, inverse=True), _crossing_circuit(8, 7)):
             assert np.abs(dense_matrix(circuit) - circuit_matrix(circuit)).max() <= 1e-12
 
     @pytest.mark.parametrize("n", [8, 20, 22])
     def test_inverse_transform_schedule_shape(self, n):
-        schedule = compile_circuit(qft_circuit(n, inverse=True))
+        schedule, order = compile_circuit(qft_circuit(n, inverse=True), tuple(range(n)))
         windows = math.ceil(n / 6)
         kinds = [type(step) for step in schedule.steps]
         assert kinds == [DenseStep, DiagonalStep] * (windows - 1) + [DenseStep]
-        # the floor(n/2) swaps are one bit-reversal permutation, not passes
-        assert schedule.axes == tuple(reversed(range(n)))
+        # the floor(n/2) swaps are one bit reversal of the order, not passes
+        assert order == tuple(reversed(range(n)))
 
     def test_swaps_that_cancel_leave_no_permutation(self):
+        # the Hadamard acts on qubit 1 while memory axis 6 holds it
         circuit = Circuit(8, (GateOp.swap(1, 6), GateOp.hadamard(1), GateOp.swap(6, 1)))
-        schedule = compile_circuit(circuit)
-        assert schedule.axes == tuple(range(8))
+        schedule, order = compile_circuit(circuit, NATURAL8)
+        assert order == NATURAL8
         assert [step.lo for step in schedule.steps] == [4]
+
+    def test_gates_follow_the_order_they_are_compiled_for(self):
+        # memory axis 0 holds qubit 7, so a Hadamard on qubit 7 runs in the
+        # first window, and a swap exchanges two entries of the order
+        order = (7, 1, 2, 3, 4, 5, 6, 0)
+        circuit = Circuit(8, (GateOp.hadamard(7), GateOp.swap(0, 3)))
+        schedule, out = compile_circuit(circuit, order)
+        assert [step.lo for step in schedule.steps] == [0]
+        assert out == (7, 1, 2, 0, 4, 5, 6, 3)
+        state = _random_state(8, seed=4)
+        expected = circuit_matrix(circuit) @ state.natural_amps()
+        state.order = order
+        state.amps[:] = state.amps[np.argsort(memory_index(order))]
+        assert np.abs(apply_circuit(state, circuit).natural_amps() - expected).max() <= 1e-12
 
     def test_hadamard_free_windows_run_as_phase_tables(self):
         circuit = Circuit(8, (GateOp.controlled_phase(0, 1, order=2),
                               GateOp.phase_shift(5, order=3, dagger=True),
                               GateOp.controlled_phase(2, 6, order=4)))
         assert all(isinstance(step, DiagonalStep)
-                   for step in compile_circuit(circuit).steps)
+                   for step in compile_circuit(circuit, NATURAL8)[0].steps)
         assert np.abs(dense_matrix(circuit) - circuit_matrix(circuit)).max() <= 1e-12
 
     def test_twenty_qubit_inverse_transform_runs_on_one_thread(self):
@@ -412,14 +483,14 @@ class TestStateOracleAcrossWindowPairs:
         circuit = _random_circuit(n, 200, seed=80 + n)
         state = _random_state(n, seed=n)
         expected = apply_gates_by_index(circuit, state.amps)
-        assert np.abs(apply_circuit(state, circuit).amps - expected).max() <= 1e-12
+        assert np.abs(apply_circuit(state, circuit).natural_amps() - expected).max() <= 1e-12
 
     @pytest.mark.parametrize("n", [13, 16])
     def test_inverse_transform_matches_state_oracle(self, n):
         circuit = qft_circuit(n, inverse=True)
         state = _random_state(n, seed=90 + n)
         expected = apply_gates_by_index(circuit, state.amps)
-        assert np.abs(apply_circuit(state, circuit).amps - expected).max() <= 1e-12
+        assert np.abs(apply_circuit(state, circuit).natural_amps() - expected).max() <= 1e-12
 
     @pytest.mark.parametrize("circuit", [
         *(qft_circuit(n, inverse=True) for n in (8, 13, 20, 22, 24)),
@@ -429,7 +500,7 @@ class TestStateOracleAcrossWindowPairs:
         n = circuit.num_qubits
         window_of = [w for w, size in enumerate(statevector._window_sizes(n))
                      for _ in range(size)]
-        for step in compile_circuit(circuit).steps:
+        for step in compile_circuit(circuit, tuple(range(n)))[0].steps:
             if isinstance(step, DiagonalStep):
                 for table in step.tables:
                     assert table.ndim == n and table.size <= 2**12
@@ -449,4 +520,5 @@ def test_every_gate_preserves_norm(seed, n):
 def test_single_gate_deterministic():
     state = _random_state(5, seed=9)
     gate = GateOp.controlled_phase(1, 3, order=4)
-    assert np.array_equal(_apply_one(state, gate).amps, _apply_one(state, gate).amps)
+    assert np.array_equal(_apply_one(_copy(state), gate).amps,
+                          _apply_one(_copy(state), gate).amps)
