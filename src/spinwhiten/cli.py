@@ -107,6 +107,16 @@ def _write_text(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
+def _echo(message: str, err: bool = False) -> None:
+    """click.echo to sys.stdout or sys.stderr as they are at call time.
+
+    Without `file=`, click caches each stream in a WeakKeyDictionary whose
+    value, for a text stream, is the stream itself, so every stream an
+    in-process caller redirects into would be kept alive for good.
+    """
+    click.echo(message, file=sys.stderr if err else sys.stdout)
+
+
 def _g17(value: float) -> str:
     return f"{value:.17g}"
 
@@ -131,7 +141,7 @@ class _Main(click.Group):
         except tuple(_EXIT_CODES) as exc:
             code = next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
             message = f"out of memory ({exc})" if isinstance(exc, MemoryError) else exc
-            click.echo(f"Error: {message}", err=True)
+            _echo(f"Error: {message}", err=True)
             sys.exit(code)
 
 
@@ -173,13 +183,13 @@ def cmd_run(cfg: CliConfig, program_path: str, seed: int | None,
                      for i in np.flatnonzero(report.histogram)]
         _write_text(out_path, "\n".join(rows) + "\n")
     for stage in report.stages:
-        click.echo(f"line {stage.line_no}: {stage.op} ({stage.elapsed_s:.3f}s)", err=True)
+        _echo(f"line {stage.line_no}: {stage.op} ({stage.elapsed_s:.3f}s)", err=True)
     if report.peak is not None:
-        click.echo(f"peak_readout: index={report.peak[0]} "
-                   f"probability={_g17(report.peak[1])}")
+        _echo(f"peak_readout: index={report.peak[0]} "
+              f"probability={_g17(report.peak[1])}")
     else:
-        click.echo("peak_readout: no acquisition in program")
-    click.echo(f"report written to {out_path}")
+        _echo("peak_readout: no acquisition in program")
+    _echo(f"report written to {out_path}")
 
 
 @main.command("qft-verify")
@@ -187,16 +197,16 @@ def cmd_run(cfg: CliConfig, program_path: str, seed: int | None,
               default=8, help="Verify transforms for n = 1..k.")
 def cmd_qft_verify(max_n: int):
     """Compare synthesized circuits against the direct transform matrix."""
-    click.echo("n,max_entrywise_error")
+    _echo("n,max_entrywise_error")
     worst = 0.0
     for n in range(1, max_n + 1):
         error = float(np.abs(dense_matrix(qft_circuit(n)) - dft_matrix(n)).max())
         worst = max(worst, error)
-        click.echo(f"{n},{_g17(error)}")
+        _echo(f"{n},{_g17(error)}")
     if worst > 1e-12:
-        click.echo(f"Error: verification failed: max error {_g17(worst)} > 1e-12", err=True)
+        _echo(f"Error: verification failed: max error {_g17(worst)} > 1e-12", err=True)
         sys.exit(EXIT_VERIFY)
-    click.echo(f"all transforms within 1e-12 (worst {_g17(worst)})")
+    _echo(f"all transforms within 1e-12 (worst {_g17(worst)})")
 
 
 @main.command("cat")
@@ -235,10 +245,10 @@ def cmd_cat(cfg: CliConfig, n_list: str, seeds: int, line_spec: str, noise: floa
     _write_text(out_path, "\n".join(csv) + "\n")
     slope = sig.loglog_slope(rows)
     if slope is None:
-        click.echo("log-log slope: not applicable (need >= 2 distinct averaging counts)")
+        _echo("log-log slope: not applicable (need >= 2 distinct averaging counts)")
     else:
-        click.echo(f"log-log slope: {_g17(slope)}")
-    click.echo(f"csv written to {out_path}")
+        _echo(f"log-log slope: {_g17(slope)}")
+    _echo(f"csv written to {out_path}")
 
 
 @main.command("budget")
@@ -260,9 +270,9 @@ def cmd_budget(overrides: str | None):
             except ValueError as exc:
                 raise MalformedInput(f"stage exponent must be integer: {part!r}") from exc
     chain = sig.spin_budget_chain(sig.SpinBudget(tuple(stages.items())))
-    click.echo("stage,cumulative_exponent,population")
+    _echo("stage,cumulative_exponent,population")
     for stage in chain:
-        click.echo(f"{stage.label},{stage.exponent},{stage.population}")
+        _echo(f"{stage.label},{stage.exponent},{stage.population}")
 
 
 @main.command("peak-sweep")
@@ -280,9 +290,9 @@ def cmd_peak_sweep(cfg: CliConfig, qubits: int, grid: int, out_path: str | None)
     out_path = out_path or cfg.out_path or "peak_sweep.csv"
     _write_text(out_path, "\n".join(csv) + "\n")
     j = int(peaks.argmin())
-    click.echo(f"minimum peak probability: {_g17(float(peaks[j]))} "
-               f"at gamma={_g17(float(gammas[j]))}")
-    click.echo(f"csv written to {out_path}")
+    _echo(f"minimum peak probability: {_g17(float(peaks[j]))} "
+          f"at gamma={_g17(float(gammas[j]))}")
+    _echo(f"csv written to {out_path}")
 
 
 if __name__ == "__main__":

@@ -9,14 +9,15 @@ than stored. The receiver observable is the coherent mean of unit phasors,
 which whitening drives to O(1/sqrt(M)) — the reason a whitened ensemble
 yields no conventional signal.
 
-The phasor kernel (`phasor_factors`) calls no per-spin cos/sin: a 2^12-entry
-table of exp(2*pi*i*j/2^12) supplies the nearest grid angle and a short
-Taylor polynomial rotates by the residual (at most pi/2^12 rad), the
+The phasor kernel (`rng.phasor_factors`) calls no per-spin cos/sin: a
+2^12-entry table of exp(2*pi*i*j/2^12) supplies the nearest grid angle and a
+short Taylor polynomial rotates by the residual (at most pi/2^12 rad), the
 table-driven scheme of Tang (ACM TOMS 1989); `qft.phase_encode_block` takes
-a register's n phasors from it. `phasor_sum` sums its phasors, and
-`receiver_signal` streams the whitened phases into that sum 8192 spins at a
-time, so memory stays flat in M. Measured against the explicit cos/sin sum,
-the mean agrees within 6e-18, and a freshly pulsed ensemble reads exactly 1.
+a register's n phasors from it, and `rng.normals` its Box-Muller cosines.
+`phasor_sum` sums its phasors, and `receiver_signal` streams the whitened
+phases into that sum 8192 spins at a time, so memory stays flat in M.
+Measured against the explicit cos/sin sum, the mean agrees within 6e-18, and
+a freshly pulsed ensemble reads exactly 1.
 """
 
 from __future__ import annotations
@@ -29,17 +30,11 @@ import numpy as np
 
 from . import rng
 from .errors import NotTransverse, OutOfRange
+from .rng import TWO_PI, phasor_factors
 
-TWO_PI = 2.0 * np.pi
-
-# phasor_sum: phasor table over 2^12 grid angles, the |phase| above which an
-# exact fmod runs first (so rint(phi / step) stays far inside int64 and the
-# residual angle inside the polynomial's range), and spins per block (the
-# block's buffers, ~0.5 MB, stay in L2).
-_TABLE_SIZE = 1 << 12
-_TABLE_STEP = TWO_PI / _TABLE_SIZE
-_TABLE_COS = np.cos(np.arange(_TABLE_SIZE) * _TABLE_STEP)
-_TABLE_SIN = np.sin(np.arange(_TABLE_SIZE) * _TABLE_STEP)
+# phasor_sum: spins per block (the block's buffers, ~0.5 MB, stay in L2), and
+# the |phase| above which an exact fmod runs first (so rint(phi / step) stays
+# far inside int64 and the residual angle inside the polynomial's range).
 _BLOCK = 8192
 _REDUCE_ABOVE = 2.0 ** 20
 
@@ -141,43 +136,6 @@ def phasor_sum(phase: np.ndarray) -> complex:
     phase = np.asarray(phase, dtype=np.float64)
     return _sum_phasor_blocks(phase[start:start + _BLOCK]
                               for start in range(0, len(phase), _BLOCK))
-
-
-def phasor_factors(
-    phase: np.ndarray,
-    buffers: np.ndarray | None = None,
-    indices: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Factors (T_cos, T_sin, cos r, sin r) of exp(i*phase), elementwise.
-
-    exp(i*phase) = (T_cos + i*T_sin) * (cos r + i*sin r): the table entry
-    for a = rint(phase * 2^12 / (2*pi)) mod 2^12 times the polynomial
-    rotation by the residual r = phase - a * 2*pi/2^12, |r| <= pi/2^12 for
-    |phase| <= 2^20 (see `phasor_sum`). `buffers`, a (7, >= len(phase))
-    float64 array, and `indices`, an intp array at least as long, are reused
-    when given; the four factors returned are views into `buffers`.
-    """
-    count = len(phase)
-    buffers = np.empty((7, count)) if buffers is None else buffers
-    index = np.empty(count, dtype=np.intp) if indices is None else indices[:count]
-    a, r, r2, cos_r, sin_r, table_cos, table_sin = buffers[:, :count]
-    np.multiply(phase, 1.0 / _TABLE_STEP, out=a)
-    np.rint(a, out=a)
-    np.copyto(index, a, casting="unsafe")
-    index &= _TABLE_SIZE - 1
-    np.take(_TABLE_COS, index, out=table_cos)
-    np.take(_TABLE_SIN, index, out=table_sin)
-    np.multiply(a, _TABLE_STEP, out=r)
-    np.subtract(phase, r, out=r)
-    np.multiply(r, r, out=r2)
-    np.multiply(r2, 1.0 / 24.0, out=cos_r)
-    cos_r -= 0.5
-    cos_r *= r2
-    cos_r += 1.0
-    np.multiply(r2, -1.0 / 6.0, out=sin_r)
-    sin_r *= r
-    sin_r += r
-    return table_cos, table_sin, cos_r, sin_r
 
 
 def _sum_phasor_blocks(blocks: Iterable[np.ndarray]) -> complex:

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ensemble import TWO_PI, phasor_factors
 from .errors import OracleScaleExceeded, OutOfRange, QubitCountExceeded
+from .rng import TWO_PI, phasor_factors
 from .statevector import (
     ABSOLUTE_MAX_QUBITS,
     ORACLE_MAX_QUBITS,
@@ -87,7 +87,7 @@ def phase_encode_block(gammas: np.ndarray, n: int, out: np.ndarray | None = None
     (Nielsen & Chuang, eq. 5.4), where qubit n-1-k carries weight 2^k and
     f_q = fmod(gamma * 2^k, 1): scaling by a power of two and fmod by 1 are
     exact, so every angle is reduced mod 1 without rounding. The n phasors
-    per row come from the `ensemble.phasor_factors` kernel; the row then
+    per row come from the `rng.phasor_factors` kernel; the row then
     doubles in place, out[:, 2^k:2^(k+1)] = out[:, :2^k] * phasor_k, so no
     transcendental is evaluated over 2^n points. Rows are written into
     `out` when given.

@@ -87,19 +87,29 @@ def _check_noise_sigma(noise_sigma: float) -> None:
         raise OutOfRange(f"noise sigma must be finite and >= 0, got {noise_sigma}")
 
 
-def _add_noise(clean: np.ndarray, noise_sigma: float, seed: int | np.ndarray) -> np.ndarray:
+def _add_noise(
+    clean: np.ndarray,
+    noise_sigma: float,
+    seed: int | np.ndarray,
+    buffers: np.ndarray | None = None,
+) -> np.ndarray:
     """clean plus complex Gaussian noise of std noise_sigma per component.
 
     The real parts take draws 0 .. L-1 of the stream of `seed`, the imaginary
     parts draws L .. 2L-1. A uint64 seed column of shape (B, 1) gives B noisy
-    copies, row b bit-identical to the call with the scalar seed[b].
+    copies, row b bit-identical to the call with the scalar seed[b]. Given
+    `buffers` (see `rng.normals`), the draws reuse them and the samples are
+    written into their second row, which the draws leave free.
     """
     length = clean.shape[-1]
-    noise = rng.normals(seed, 2 * length)
-    # clean + sigma * (re + 1j * im), evaluated in one complex buffer
-    samples = np.multiply(1j, noise[..., length:])
-    np.add(noise[..., :length], samples, out=samples)
-    samples *= noise_sigma
+    noise = rng.normals(seed, 2 * length, buffers=buffers)
+    shape = noise.shape[:-1] + (length,)
+    if buffers is None:
+        samples = np.empty(shape, dtype=np.complex128)
+    else:
+        samples = buffers[1, :noise.size].view(np.complex128).reshape(shape)
+    np.multiply(noise[..., :length], noise_sigma, out=samples.real)
+    np.multiply(noise[..., length:], noise_sigma, out=samples.imag)
     samples += clean
     return samples
 
@@ -146,24 +156,28 @@ def cat_average(shots: Iterable[np.ndarray], dwell_s: float) -> FidTrace:
 
     `shots` yields (B, L) blocks or single (L,) traces, consumed as a stream
     holding only the running sum. Rows are added in shot order (a sequential
-    in-place `np.add.accumulate` over the sum stacked on the block) in
-    extended precision, exact for up to ~2000 shots: identical traces
-    average to themselves bit for bit instead of drifting by an ulp.
+    in-place `np.add.accumulate` over the sum stacked on the block, in one
+    stack reused for every block) in extended precision, exact for up to
+    ~2000 shots: identical traces average to themselves bit for bit instead
+    of drifting by an ulp.
     """
-    total, count = None, 0
+    stack, count = None, 0
     for block in shots:
         rows = np.atleast_2d(block)
-        if total is None:
-            total = np.zeros(rows.shape[1], dtype=np.clongdouble)
-        elif rows.shape[1] != len(total):
+        if stack is None:
+            stack = np.zeros((len(rows) + 1, rows.shape[1]), dtype=np.clongdouble)
+        elif rows.shape[1] != stack.shape[1]:
             raise LengthMismatch("all shots must share one length")
-        stack = np.concatenate([total[None], rows])
-        total = np.add.accumulate(stack, axis=0, out=stack)[-1].copy()
-        del stack  # freed before the next block's stack is built
+        elif len(rows) >= len(stack):
+            stack = np.concatenate([stack[:1], np.empty_like(rows, dtype=np.clongdouble)])
+        part = stack[:len(rows) + 1]  # row 0 holds the running sum
+        part[1:] = rows
+        np.add.accumulate(part, axis=0, out=part)
+        stack[0] = part[-1]
         count += len(rows)
     if not count:
         raise EmptyInput("cat_average needs at least one trace")
-    return FidTrace((total / count).astype(np.complex128), dwell_s)
+    return FidTrace((stack[0] / count).astype(np.complex128), dwell_s)
 
 
 def estimate_snr(
@@ -288,11 +302,14 @@ DEFAULT_CAT_NOISE_SIGMA = 1.0
 # Line at 125 Hz lands in bin 32 of 256; windows stay clear of it.
 DEFAULT_PEAK_WINDOW = (30, 35)
 DEFAULT_NOISE_WINDOW = (128, 224)
-# Shots whose noise one vectorized hash and Box-Muller pass draws. 32 shots
-# of 256 samples hash a 256 KiB block of words. At 64 shots glibc returns the
-# 1 MiB of hash buffers to the system after each block, and faulting them back
-# in made the study about 15% slower (2-vCPU Xeon, numpy 2.4.6).
-_CAT_SHOT_BLOCK = 32
+# Shots whose noise one `rng.normals` call draws. Its buffers hold 9 float64
+# per draw, 0.84 MiB for 24 shots of 256 samples, and the `cat_average` stack
+# holds 8 KiB per shot. Over default `cat` tasks in one process (2-vCPU Xeon,
+# numpy 2.4.6), blocks of 16, 24, 32 and 64 shots came within 6% of each
+# other in CPU time (64 fastest), but raised the peak RSS over that of the
+# per-block allocations they replaced by 0.1, 0.3, 0.8 and 2.3 MB: 24 is the
+# largest of them that adds less than 0.5 MB.
+_CAT_SHOT_BLOCK = 24
 
 
 def cat_snr(
@@ -311,17 +328,25 @@ def cat_snr(
     seed=rng.mix(seed, j))``, but the clean line is synthesized once and the
     noise of _CAT_SHOT_BLOCK shots is drawn in one pass into one (B, length)
     block (without noise, a view of the clean line), which `cat_average`
-    consumes; no trace object per shot is built. A line whose bin,
-    round(freq * length * dwell) mod length, misses DEFAULT_PEAK_WINDOW or
-    lands in DEFAULT_NOISE_WINDOW raises OutOfRange.
+    consumes; no trace object per shot is built. The draws' buffers, the
+    noisy block and the average's stack are allocated once per call, not
+    once per block. A line whose bin, round(freq * length * dwell) mod
+    length, misses DEFAULT_PEAK_WINDOW or lands in DEFAULT_NOISE_WINDOW
+    raises OutOfRange.
     """
     _check_noise_sigma(noise_sigma)
     # overflow near the float limit is refused by estimate_snr, not warned of
     with np.errstate(over="ignore", invalid="ignore"):
         clean = synth_fid([line], length, dwell_s).samples
         seeds = rng.words(seed, n_shots)[:, None]
+        # One block's buffers, full size whatever n_shots, so that successive
+        # calls reuse one heap block instead of fragmenting the heap. Each
+        # noisy block is a view into them, overwritten by the next block
+        # after cat_average has added it.
+        buffers = np.empty((rng.NORMAL_BUFFER_ROWS, _CAT_SHOT_BLOCK * 2 * length))
         blocks = (
-            _add_noise(clean, noise_sigma, seeds[lo:lo + _CAT_SHOT_BLOCK]) if noise_sigma
+            _add_noise(clean, noise_sigma, seeds[lo:lo + _CAT_SHOT_BLOCK], buffers)
+            if noise_sigma
             else np.broadcast_to(clean, (min(_CAT_SHOT_BLOCK, n_shots - lo), length))
             for lo in range(0, n_shots, _CAT_SHOT_BLOCK)
         )

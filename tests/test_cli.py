@@ -1,10 +1,14 @@
 """Command-line contract: exit codes, file outputs, byte determinism."""
 
+import contextlib
+import gc
 import hashlib
+import io
 import json
 import math
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -444,3 +448,25 @@ class TestBlasThreads:
                             for path in (tmp_path / name).iterdir()})
         assert sorted(digests[0]) == ["cat.csv", "run.json", "sweep.csv"]
         assert digests[0] == digests[1]
+
+
+class TestInProcessStreams:
+    """An in-process caller that redirects stdout and stderr gets its streams
+    back: the command line keeps no reference to them after it returns."""
+
+    def test_redirected_streams_are_released(self, tmp_path, monkeypatch):
+        from spinwhiten import cli
+
+        monkeypatch.chdir(tmp_path)  # no spinwhiten.conf is read
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            cli.main(["budget"], standalone_mode=False)
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main(["budget", "--stages", "quux=-1"], standalone_mode=False)
+        assert exit_info.value.code == 2
+        assert out.getvalue().startswith("stage,cumulative_exponent,population\n")
+        assert err.getvalue().startswith("Error: ")
+        released = weakref.ref(out), weakref.ref(err)
+        del out, err
+        gc.collect()
+        assert [ref() for ref in released] == [None, None]

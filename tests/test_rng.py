@@ -1,5 +1,7 @@
 """Counter-based RNG: reference vectors, determinism, invertibility."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -64,6 +66,49 @@ def test_normals_offset_is_pairwise():
     full = rng.normals(5, 50)
     tail = rng.normals(5, 30, start=20)
     assert tail.tolist() == full[20:].tolist()
+
+
+class TestNormalsOracle:
+    """Box-Muller against the scalar libm formula, draw by draw, within
+    1e-15 per unit of radius."""
+
+    def test_matches_scalar_formula(self):
+        seed, count = 20261019, 100_000
+        u = rng.uniforms(seed, 2 * count)
+        radius = np.array([math.sqrt(-2 * math.log(1 - x)) for x in u[0::2].tolist()])
+        want = radius * np.array([math.cos(2 * math.pi * x) for x in u[1::2].tolist()])
+        error = np.abs(rng.normals(seed, count) - want)
+        assert np.all(error <= 1e-15 * np.maximum(1.0, radius))
+
+    @pytest.mark.parametrize("u", [0.0, 0.25, 0.5, 0.75, 1 - 2.0**-53])
+    @pytest.mark.parametrize("position", [0, 1], ids=["radius", "angle"])
+    def test_edge_draws(self, u, position):
+        seed = rng.seed_for_gamma(u, index=position)
+        u1, u2 = (rng.uniform01(rng.mix(seed, k)) for k in (0, 1))
+        assert (u1, u2)[position] == u
+        radius = math.sqrt(-2 * math.log(1 - u1))
+        want = radius * math.cos(2 * math.pi * u2)
+        assert abs(float(rng.normals(seed, 1)[0]) - want) <= 1e-15 * max(1.0, radius)
+
+
+class TestNormalsBuffers:
+    """Reused buffers change where draws are computed, never their bits."""
+
+    SEEDS = np.array([0, 1, 2**63, rng.MASK64, 3192346357569502190], dtype=np.uint64)
+
+    @pytest.mark.parametrize("seed", [7, 2**63 + 1, "column"])
+    @pytest.mark.parametrize("start", [0, 1, 20, 33])
+    def test_equal_to_fresh_buffers(self, seed, start):
+        seed = self.SEEDS[:, None] if seed == "column" else seed
+        buffers = np.full((rng.NORMAL_BUFFER_ROWS, 5 * 64 + 3), np.nan)
+        rng.normals(99, 64, start=5, buffers=buffers)  # stale values to overwrite
+        got = rng.normals(seed, 64, start=start, buffers=buffers)
+        want = rng.normals(seed, 64, start=start)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        # the draws live in the first row; the others are free on return
+        assert np.shares_memory(got, buffers[0])
+        assert not np.shares_memory(got, buffers[1:])
 
 
 class TestWords:

@@ -333,10 +333,11 @@ class TestCatExperiment:
 
 
 class TestBatchedCatMatchesPerShotSynthesis:
-    """cat_snr hashes and Box-Mullers blocks of 32 shots; the oracle builds
-    one synth_fid trace per shot. Equality is exact, not approximate."""
+    """cat_snr hashes and Box-Mullers blocks of _CAT_SHOT_BLOCK shots; the
+    oracle builds one synth_fid trace per shot. Equality is exact, not
+    approximate."""
 
-    @pytest.mark.parametrize("n_shots", [1, 31, 32, 33, 63, 64, 65, 200])
+    @pytest.mark.parametrize("n_shots", [1, 23, 24, 25, 31, 32, 33, 47, 48, 49, 63, 64, 65, 200])
     @pytest.mark.parametrize("seed", [3, 2**63 + 12345])
     @pytest.mark.parametrize("noise_sigma", [0.0, 0.5])
     def test_default_line(self, n_shots, seed, noise_sigma, monkeypatch):
@@ -395,3 +396,28 @@ class TestBatchedCatMatchesPerShotSynthesis:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 2**20
+
+    def test_blocks_draw_into_one_buffer_per_call(self, monkeypatch):
+        addresses = []
+        real_normals = rng.normals
+
+        def spy(seed, count, start=0, buffers=None):
+            addresses.append(None if buffers is None else buffers.ctypes.data)
+            return real_normals(seed, count, start, buffers)
+
+        monkeypatch.setattr(rng, "normals", spy)
+        cat_snr(200, seed=5)
+        assert len(addresses) > 2 and len(set(addresses)) == 1 and None not in addresses
+
+    def test_page_faults_do_not_grow_with_shots(self):
+        # Buffers allocated per block are handed back to the system and
+        # faulted in again by the next block; reused ones are not.
+        resource = pytest.importorskip("resource")
+
+        def faults(n_shots):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            cat_snr(n_shots, seed=5)
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+        faults(64), faults(1024)  # warm
+        assert min(faults(1024) - faults(64) for _ in range(3)) < 200
