@@ -7,8 +7,10 @@ forward unitary directly from that formula and serves as the independent
 oracle. `phase_encode` builds the register state carrying a phase fraction
 gamma, which the inverse transform concentrates near basis index
 round(gamma * 2^n). That state is a product state, one qubit per power of
-two in gamma * x, so it is built from n phasors per gamma, each angle
-reduced mod 1 exactly, instead of one exponential per basis index.
+two in gamma * x, so it is built from n phasors per gamma instead of one
+exponential per basis index. Each phasor's angle is the exact turn
+fmod(gamma * 2^k, 1), handed to the phasor kernel as a 64-bit fixed-point
+turn.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import OracleScaleExceeded, OutOfRange, QubitCountExceeded
-from .rng import TWO_PI, phasor_factors
+from .rng import phasor_factors
 from .statevector import (
     ABSOLUTE_MAX_QUBITS,
     ORACLE_MAX_QUBITS,
@@ -86,16 +88,18 @@ def phase_encode_block(gammas: np.ndarray, n: int, out: np.ndarray | None = None
     Each row is the product state (x)_q (|0> + exp(2*pi*i*f_q)|1>)/sqrt(2)
     (Nielsen & Chuang, eq. 5.4), where qubit n-1-k carries weight 2^k and
     f_q = fmod(gamma * 2^k, 1): scaling by a power of two and fmod by 1 are
-    exact, so every angle is reduced mod 1 without rounding. The n phasors
-    per row come from the `rng.phasor_factors` kernel; the row then
-    doubles in place, out[:, 2^k:2^(k+1)] = out[:, :2^k] * phasor_k, so no
-    transcendental is evaluated over 2^n points. Rows are written into
-    `out` when given.
+    exact, so every angle is reduced mod 1 without rounding. So is f_q *
+    2^64, which the cast to uint64 truncates to the 64-bit fixed-point turn
+    that the `rng.phasor_factors` kernel takes (the truncation drops less
+    than 2^-64 turn). The row then doubles in place, out[:, 2^k:2^(k+1)] =
+    out[:, :2^k] * phasor_k, so no transcendental is evaluated over 2^n
+    points. Rows are written into `out` when given.
     """
     if out is None:
         out = np.empty((len(gammas), 1 << n), dtype=np.complex128)
     turns = np.fmod(np.multiply.outer(gammas, 2.0 ** np.arange(n)), 1.0).ravel()
-    table_cos, table_sin, cos_r, sin_r = phasor_factors(TWO_PI * turns)
+    turns *= 2.0 ** 64
+    table_cos, table_sin, cos_r, sin_r = phasor_factors(turns.astype(np.uint64))
     phasors = np.empty(len(turns), dtype=np.complex128)
     phasors.real = table_cos * cos_r - table_sin * sin_r
     phasors.imag = table_sin * cos_r + table_cos * sin_r

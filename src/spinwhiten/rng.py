@@ -8,15 +8,21 @@ platforms. The finalizer is a bijection on 64-bit words, which also makes it
 invertible: `seed_for_gamma` exploits this to construct seeds whose first
 draw is an exactly representable target (used for dyadic-phase experiments).
 
-The module also holds the one phasor kernel, `phasor_factors`: exp(i*phase)
-as a 2^12-entry table entry times a short polynomial in the residual angle
-(Tang, ACM TOMS 1989). `normals` takes its Box-Muller cosines from it, the
-ensemble's receiver sum and the register's phase encoding their phasors.
+The module also holds the one phasor kernel, `phasor_factors`. Its phases
+are 64-bit fixed-point turns: a uint64 t stands for the angle 2*pi*t/2^64,
+the phase-accumulator word of Tierney, Rader & Gold (IEEE Trans. Audio
+Electroacoust. AU-19, 1971). The top 12 bits of t, rounded, pick a 2^12-entry
+table entry, and a short polynomial rotates by the integer residual (Tang,
+ACM TOMS 1989). A hashed word with its low 11 bits cleared is the turn of
+the uniform draw it gives: `normals` takes its Box-Muller cosines from the
+kernel this way, the ensemble's receiver sum its whitened phasors, and the
+register's phase encoding its phasors from exact turns of gamma.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -31,13 +37,20 @@ _INV_MULT1 = 0x96DE1B173F119089
 _INV_MULT2 = 0x319642B2D24D8EC3
 
 _U53_SCALE = 2.0 ** -53
-TWO_PI = 2.0 * np.pi
+# A word with these bits cleared is the turn of its uniform draw: (word >> 11) * 2^11.
+_TURN_MASK = np.uint64(MASK64 ^ 0x7FF)
 
-# phasor_factors: exp(2*pi*i*j/2^12) over the 2^12 grid angles.
-_TABLE_SIZE = 1 << 12
-_TABLE_STEP = TWO_PI / _TABLE_SIZE
-_TABLE_COS = np.cos(np.arange(_TABLE_SIZE) * _TABLE_STEP)
-_TABLE_SIN = np.sin(np.arange(_TABLE_SIZE) * _TABLE_STEP)
+# phasor_factors: exp(2*pi*i*j/2^12) over the 2^12 grid angles, which sit
+# 2^52 turn units apart; the residual turn r_t, |r_t| <= 2^51, is r_t * 2pi/2^64 rad.
+_TABLE_BITS = 12
+_INDEX_SHIFT = np.uint64(64 - _TABLE_BITS)
+_HALF_STEP = np.uint64(1 << (63 - _TABLE_BITS))
+_TURN_RADIANS = 2.0 * np.pi * 2.0 ** -64
+_TABLE_ANGLES = np.arange(1 << _TABLE_BITS) * (2.0 * np.pi / (1 << _TABLE_BITS))
+_TABLE_COS = np.cos(_TABLE_ANGLES)
+_TABLE_SIN = np.sin(_TABLE_ANGLES)
+# Float64 rows `phasor_factors` works in.
+PHASOR_BUFFER_ROWS = 6
 
 
 def mix64(z: int) -> int:
@@ -74,17 +87,40 @@ def uniforms(seed: int | np.ndarray, count: int, start: int = 0) -> np.ndarray:
     """Draws start .. start+count-1 of the stream, vectorized.
 
     Equivalent to ``[uniform01(mix(seed, k)) for k in range(start, start+count)]``
-    but allocation-lean: million-spin whitening sweeps hit this path hard.
-    seed may be a uint64 column of streams, as in `words`.
+    but allocation-lean. seed may be a uint64 column of streams, as in `words`.
     """
     z = words(seed, count, start)
     z >>= np.uint64(11)
     return z * _U53_SCALE
 
 
-# Rows of the float64 array that `normals` reuses: one for the angle and then
-# the result, seven for `phasor_factors` and one for its table indices.
-NORMAL_BUFFER_ROWS = 9
+def turn_blocks(seed: int, count: int, block: int) -> Iterator[np.ndarray]:
+    """Draws 0 .. count-1 of the stream as 64-bit fixed-point turns, `block` at a time.
+
+    Turn k is mix(seed, k) with its low 11 bits cleared, which is exactly
+    uniform01(mix(seed, k)) * 2^64, the phase 2*pi*u as `phasor_factors`
+    takes it. Each block is a view of one uint64 buffer that the next block
+    overwrites; the counter row seed + (k+1)*GOLDEN advances in place, so no
+    block allocates.
+    """
+    counter = np.arange(1, block + 1, dtype=np.uint64)
+    counter *= np.uint64(GOLDEN)
+    counter += np.uint64(seed & MASK64)
+    advance = np.uint64(block * GOLDEN & MASK64)
+    turns = np.empty(block, dtype=np.uint64)
+    scratch = np.empty_like(turns)
+    for start in range(0, count, block):
+        size = min(block, count - start)
+        out = _mix_into(counter[:size], turns[:size], scratch[:size])
+        out &= _TURN_MASK
+        counter += advance
+        yield out
+
+
+# Rows of the float64 array that `normals` reuses: one for the angle words and
+# then the result, PHASOR_BUFFER_ROWS for `phasor_factors` and one for its
+# table indices.
+NORMAL_BUFFER_ROWS = PHASOR_BUFFER_ROWS + 2
 
 
 def normals(
@@ -110,24 +146,24 @@ def normals(
     if buffers is None:
         buffers = np.empty((NORMAL_BUFFER_ROWS, size))
     row = buffers[0, :size]
-    # Words are hashed into rows 8, 1 and 2, which the kernel overwrites
-    # later, and cast into row 0 by np.copyto, which, unlike a ufunc casting
-    # on the fly, needs no temporary buffer.
-    w8, w1, w2 = (buffers[i, :size].view(np.uint64).reshape(shape) for i in (8, 1, 2))
-    # Each uniform is u = k * 2^-53 for the top 53 bits k of its word. The
-    # odd positions give the angle k * (2 pi 2^-53), rounded exactly as
-    # 2 pi * u is, and the kernel's cos(angle) = T_cos cos r - T_sin sin r.
-    k = _hash_into(seed, 2 * start + 1, 2, w8, w1)
-    k >>= np.uint64(11)
-    np.copyto(row, k.reshape(-1))
-    row *= TWO_PI * _U53_SCALE
-    table_cos, table_sin, cos_r, sin_r = phasor_factors(
-        row, buffers[1:8], buffers[8].view(np.intp))
+    factors = buffers[1 : PHASOR_BUFFER_ROWS + 1]
+    indices = buffers[PHASOR_BUFFER_ROWS + 1].view(np.intp)
+    # The odd positions give the angle: each word, its low 11 bits cleared, is
+    # the turn of u = (word >> 11) * 2^-53, hashed into row 0 with row 1 for
+    # the shifts. cos(2 pi u) = T_cos cos r - T_sin sin r.
+    turns = row.view(np.uint64)
+    _hash_into(seed, 2 * start + 1, 2, turns.reshape(shape),
+               buffers[1, :size].view(np.uint64).reshape(shape))
+    turns &= _TURN_MASK
+    table_cos, table_sin, cos_r, sin_r = phasor_factors(turns, factors, indices)
     cos_r *= table_cos
     sin_r *= table_sin
     cos_r -= sin_r
     # The even positions give radius = sqrt(-2 log(1 - u)); 1 - u lies in
-    # (0, 1], so its log is finite.
+    # (0, 1], so its log is finite. Words are hashed into rows 1 and 2, which
+    # the kernel is done with, and cast into row 0 by np.copyto, which, unlike
+    # a ufunc casting on the fly, needs no temporary buffer.
+    w1, w2 = (buffers[i, :size].view(np.uint64).reshape(shape) for i in (1, 2))
     k = _hash_into(seed, 2 * start, 2, w1, w2)
     k >>= np.uint64(11)
     np.copyto(row, k.reshape(-1))
@@ -141,32 +177,44 @@ def normals(
 
 
 def phasor_factors(
-    phase: np.ndarray,
+    turns: np.ndarray,
     buffers: np.ndarray | None = None,
     indices: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Factors (T_cos, T_sin, cos r, sin r) of exp(i*phase), elementwise.
+    """Factors (T_cos, T_sin, cos r, sin r) of exp(2*pi*i*t/2^64), elementwise.
 
-    exp(i*phase) = (T_cos + i*T_sin) * (cos r + i*sin r): the table entry
-    for a = rint(phase * 2^12 / (2*pi)) mod 2^12 times the polynomial
-    rotation by the residual r = phase - a * 2*pi/2^12, |r| <= pi/2^12 for
-    |phase| <= 2^20 (see `ensemble.phasor_sum`). `buffers`, a (7, >=
-    len(phase)) float64 array, and `indices`, an intp array at least as
-    long, are reused when given; the four factors returned are views into
-    `buffers`.
+    `turns` is a 1-D uint64 array of 64-bit fixed-point turns t. The table
+    index a = (t + 2^51) >> 52 lies in [0, 2^12) by the shift alone, and the
+    residual t - a * 2^52, read as int64, is exact and at most 2^51 in size;
+    r is that residual times 2*pi/2^64, |r| <= pi/2^12, and carries the only
+    rounding. exp(2*pi*i*t/2^64) = (T_cos + i*T_sin) * (cos r + i*sin r), the
+    table entry for a times cos r = 1 - r^2/2 + r^4/24 and sin r = r - r^3/6
+    (truncation below 3e-18). A phasor formed from the factors lies within
+    1e-15 of the exact one (8.1e-16 at worst over 2*10^4 random turns).
+    `buffers`, a (PHASOR_BUFFER_ROWS, >= len(turns)) float64 array, and
+    `indices`, an intp array at least as long, are reused when given: the
+    four factors returned are views into `buffers`, and on return `indices`
+    holds the table indices and `buffers[0]` the residual angles r.
     """
-    count = len(phase)
-    buffers = np.empty((7, count)) if buffers is None else buffers
+    count = len(turns)
+    if buffers is None:
+        buffers = np.empty((PHASOR_BUFFER_ROWS, count))
     index = np.empty(count, dtype=np.intp) if indices is None else indices[:count]
-    a, r, r2, cos_r, sin_r, table_cos, table_sin = buffers[:, :count]
-    np.multiply(phase, 1.0 / _TABLE_STEP, out=a)
-    np.rint(a, out=a)
-    np.copyto(index, a, casting="unsafe")
-    index &= _TABLE_SIZE - 1
-    np.take(_TABLE_COS, index, out=table_cos)
-    np.take(_TABLE_SIN, index, out=table_sin)
-    np.multiply(a, _TABLE_STEP, out=r)
-    np.subtract(phase, r, out=r)
+    r, r2, cos_r, sin_r, table_cos, table_sin = buffers[:, :count]
+    # The index and the residual are formed in uint64; the residual lands in
+    # the r2 row and is cast into r by np.copyto, which needs no temporary.
+    spread = index.view(np.uint64)
+    np.add(turns, _HALF_STEP, out=spread)
+    spread >>= _INDEX_SHIFT
+    residual = r2.view(np.uint64)
+    np.left_shift(spread, _INDEX_SHIFT, out=residual)
+    np.subtract(turns, residual, out=residual)
+    np.copyto(r, residual.view(np.int64))
+    r *= _TURN_RADIANS
+    # Every index is in range, so "wrap" gathers straight into the output;
+    # the default "raise" gathers into a temporary copy first.
+    np.take(_TABLE_COS, index, out=table_cos, mode="wrap")
+    np.take(_TABLE_SIN, index, out=table_sin, mode="wrap")
     np.multiply(r, r, out=r2)
     np.multiply(r2, 1.0 / 24.0, out=cos_r)
     cos_r -= 0.5
@@ -197,8 +245,14 @@ def _hash_into(
     if not isinstance(seed, np.ndarray):
         seed = np.uint64(seed & MASK64)
     np.add(seed, counter, out=out)
-    np.right_shift(out, np.uint64(30), out=scratch)
-    out ^= scratch
+    return _mix_into(out, out, scratch)
+
+
+def _mix_into(z: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """out = mix64(z) elementwise over uint64 arrays; out may be z itself.
+    scratch, uint64 of z's shape, holds the shifts."""
+    np.right_shift(z, np.uint64(30), out=scratch)
+    np.bitwise_xor(z, scratch, out=out)
     out *= np.uint64(_MULT1)
     np.right_shift(out, np.uint64(27), out=scratch)
     out ^= scratch

@@ -302,8 +302,9 @@ DEFAULT_CAT_NOISE_SIGMA = 1.0
 # Line at 125 Hz lands in bin 32 of 256; windows stay clear of it.
 DEFAULT_PEAK_WINDOW = (30, 35)
 DEFAULT_NOISE_WINDOW = (128, 224)
-# Shots whose noise one `rng.normals` call draws. Its buffers hold 9 float64
-# per draw, 0.84 MiB for 24 shots of 256 samples, and the `cat_average` stack
+# Shots whose noise one `rng.normals` call draws. Its buffers hold 8 float64
+# per draw (9 when the block sizes below were compared), 0.75 MiB for 24
+# shots of 256 samples, and the `cat_average` stack
 # holds 8 KiB per shot. Over default `cat` tasks in one process (2-vCPU Xeon,
 # numpy 2.4.6), blocks of 16, 24, 32 and 64 shots came within 6% of each
 # other in CPU time (64 fastest), but raised the peak RSS over that of the

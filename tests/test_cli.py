@@ -368,17 +368,18 @@ class TestOwnUsageErrors:
 class TestOversizedRequest:
     """A request whose first large array exceeds the 2**47-byte user address
     space, which no allocator can grant, exits 2 with one Error line instead
-    of a MemoryError traceback."""
+    of a MemoryError traceback. (`run` has no such request: its shots are
+    drawn in blocks of fixed size.)"""
 
     @pytest.mark.parametrize("args", [
-        ("run", "big.pp", "--ensemble-size", "10"),  # 8e14 B of shot draws
-        ("peak-sweep", "--qubits", "4", "--grid", str(10**14)),  # 8e14 B of grid
-        ("cat", "--n-list", str(10**14), "--seeds", "1"),  # 8e14 B of shot seeds
-        ("cat", "--length", str(1 << 45), "--n-list", "1", "--seeds", "1"),  # 2**48 B
+        pytest.param(("peak-sweep", "--qubits", "4", "--grid", str(10**14)),
+                     id="sweep-grid"),  # 8e14 B of grid
+        pytest.param(("cat", "--n-list", str(10**14), "--seeds", "1"),
+                     id="cat-shots"),  # 8e14 B of shot seeds
+        pytest.param(("cat", "--length", str(1 << 45), "--n-list", "1", "--seeds", "1"),
+                     id="cat-length"),  # 2**48 B
     ])
     def test_exits_two_with_one_error_line(self, tmp_path, args):
-        (tmp_path / "big.pp").write_text(
-            CANONICAL.replace("shots=4096", f"shots={10**14}"), encoding="utf-8")
         result = run_cli(*args, cwd=tmp_path)
         assert result.returncode == 2
         assert "Traceback" not in result.stderr

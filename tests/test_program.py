@@ -20,6 +20,8 @@ from spinwhiten.program import (
     format_program,
     parse,
 )
+from spinwhiten.qft import phase_encode, qft_circuit
+from spinwhiten.statevector import apply_circuit, probabilities
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 MAGIC_SEED = rng.seed_for_gamma(5 / 16)  # = 3192346357569502190
@@ -218,6 +220,35 @@ class TestExecute:
         report = execute(parse(source), ensemble_size=10, master_seed=0)
         assert report.shots == 150
         assert report.histogram.sum() == 150
+
+    @pytest.mark.parametrize("qubits, shots", [(3, 3 * 2**16 + 17), (17, 2**18 + 5)])
+    def test_streamed_histogram_equals_one_shot_draw(self, qubits, shots):
+        # Shots are drawn in blocks; every uniform drawn at once must give
+        # the same histogram.
+        source = f"pulse90 t\nwhiten t seed=7\nencode r {qubits}\niqft r\nacquire shots={shots}"
+        report = execute(parse(source), ensemble_size=10, master_seed=3)
+        state = apply_circuit(phase_encode(rng.uniforms(7, 1)[0], qubits),
+                              qft_circuit(qubits, inverse=True))
+        cum = np.cumsum(probabilities(state))
+        draws = rng.uniforms(rng.derive(3, "acquire:0"), shots) * cum[-1]
+        outcomes = np.clip(np.searchsorted(cum, draws, side="right"), 0, len(cum) - 1)
+        expected = np.bincount(outcomes, minlength=len(cum))
+        assert report.histogram.dtype == expected.dtype
+        assert np.array_equal(report.histogram, expected)
+
+    def test_acquire_memory_flat_in_shots(self):
+        # drawn at once, 10^7 shots would hold about 24 B each: 240 MB
+        peaks = []
+        for shots in (2**17, 10**7):
+            program = parse(f"pulse90 t\nwhiten t seed=7\nencode r 3\niqft r\nacquire shots={shots}")
+            tracemalloc.start()
+            try:
+                report = execute(program, ensemble_size=10, master_seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert report.histogram.sum() == shots
+        assert peaks[1] <= peaks[0] + 2**16
 
     def test_execute_checks_protocol(self):
         with pytest.raises(ProtocolError):

@@ -1,5 +1,6 @@
 """Transform synthesis vs the direct-matrix oracle, and phase encoding."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -279,3 +280,12 @@ class TestClosedFormDistribution:
         amps = phase_encode(gamma, n).amps
         error = np.abs(amps - exact_phase_state(gamma, n)).max()
         assert error <= n * 2.0**-50 * 2.0 ** (-n / 2)
+
+    @pytest.mark.parametrize("n", [12, 16, 20, 22])
+    @pytest.mark.parametrize("gamma", [2 / 3, 0.9, 1 - 2.0**-40 / 3])
+    def test_turns_above_one_half(self, n, gamma):
+        # a turn fmod(gamma * 2^k, 1) >= 0.5 reaches the kernel as a uint64
+        # >= 2^63, so the float-to-uint64 cast must keep the top bit
+        assert any(math.fmod(gamma * 2.0**k, 1.0) >= 0.5 for k in range(n))
+        error = np.abs(phase_encode(gamma, n).amps - exact_phase_state(gamma, n)).max()
+        assert error <= 5e-17

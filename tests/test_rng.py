@@ -1,13 +1,16 @@
 """Counter-based RNG: reference vectors, determinism, invertibility."""
 
 import math
+import tracemalloc
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from spinwhiten import rng
-from oracles import ks_statistic
+from oracles import explicit_receiver_signal, ks_statistic
 
 
 def test_matches_splitmix64_reference_stream():
@@ -109,6 +112,107 @@ class TestNormalsBuffers:
         # the draws live in the first row; the others are free on return
         assert np.shares_memory(got, buffers[0])
         assert not np.shares_memory(got, buffers[1:])
+
+
+def _mean_phasor(turns):
+    """Mean of the kernel's phasors over uint64 turns, summed exactly."""
+    table_cos, table_sin, cos_r, sin_r = rng.phasor_factors(np.asarray(turns, dtype=np.uint64))
+    re = math.fsum(table_cos * cos_r - table_sin * sin_r)
+    im = math.fsum(table_sin * cos_r + table_cos * sin_r)
+    return complex(re, im) / len(turns)
+
+
+def _random_turns(seed, count):
+    return np.random.default_rng(seed).integers(0, 2**64, count, dtype=np.uint64)
+
+
+class TestTurnBlocks:
+    @pytest.mark.parametrize("seed", [0, 2**63 + 5, rng.MASK64])
+    @pytest.mark.parametrize("count, block", [(1, 8), (10_001, 4096), (8192, 8192)])
+    def test_turns_are_uniforms_times_two_to_64(self, seed, count, block):
+        blocks = [turns.copy() for turns in rng.turn_blocks(seed, count, block)]
+        assert [len(b) for b in blocks[:-1]] == [block] * (len(blocks) - 1)
+        turns = np.concatenate(blocks)
+        assert turns.dtype == np.uint64
+        # every turn has at most 53 significant bits, so the cast is exact
+        assert np.array_equal(turns.astype(np.float64), rng.uniforms(seed, count) * 2.0**64)
+        assert np.array_equal(turns >> np.uint64(11), rng.words(seed, count) >> np.uint64(11))
+
+
+class TestPhasorKernel:
+    """64-bit fixed-point turns t, phase 2*pi*t/2^64: the integer split into
+    table index and residual, and each phasor against the exact one."""
+
+    EDGES = [0, 1, 2**51 - 1, 2**51, 2**51 + 1, 2**52, 2**63, 2**64 - 2**11, 2**64 - 1]
+
+    def turns(self):
+        return np.concatenate([
+            np.array(self.EDGES, dtype=np.uint64),
+            _random_turns(16, 3000),
+            next(rng.turn_blocks(7, 1000, 1000)),  # whitening turns
+        ])
+
+    def test_integer_split(self):
+        # On return the indices hold the table indices and buffers[0] the
+        # residual angles r, each the one rounding of residual * 2*pi/2^64.
+        turns = self.turns()
+        buffers = np.empty((rng.PHASOR_BUFFER_ROWS, len(turns)))
+        indices = np.empty(len(turns), dtype=np.intp)
+        rng.phasor_factors(turns, buffers, indices)
+        scale = 2 * math.pi / 2**64
+        for t, index, r in zip(turns.tolist(), indices.tolist(), buffers[0].tolist()):
+            # |r - residual*scale| <= 2^-53 |r| < scale / 4, so rounding recovers it
+            residual = round(Fraction(r) / Fraction(scale))
+            assert residual * scale == r
+            assert ((index << 52) + residual) % 2**64 == t
+            assert abs(residual) <= 2**51
+            assert 0 <= index < 4096
+
+    def test_each_phasor_within_bound(self):
+        turns = self.turns()
+        table_cos, table_sin, cos_r, sin_r = rng.phasor_factors(turns)
+        phasors = (table_cos * cos_r - table_sin * sin_r) + 1j * (table_sin * cos_r + table_cos * sin_r)
+        with mpmath.workprec(120):
+            for t, z in zip(turns.tolist(), phasors.tolist()):
+                exact = mpmath.expjpi(mpmath.mpf(t) / 2**63)
+                assert abs(mpmath.mpc(z) - exact) <= 1e-15, t
+
+    def test_zero_turns_give_exact_unit_factors(self):
+        # a freshly pulsed ensemble's phases: its sum must read exactly M
+        for count in (1, 8192, 8193):
+            factors = rng.phasor_factors(np.zeros(count, dtype=np.uint64))
+            for factor, value in zip(factors, (1.0, 0.0, 1.0, 0.0)):
+                assert np.all(factor == value)
+
+    def test_aligned_turns(self):
+        assert _mean_phasor([0, 0, 0]) == 1.0
+
+    def test_opposite_turns_cancel(self):
+        assert abs(_mean_phasor([0, 2**63, 0, 2**63])) <= 1e-15
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_mean_magnitude_bounded_by_one(self, seed):
+        assert abs(_mean_phasor(_random_turns(seed, 1000))) <= 1.0 + 1e-12
+
+    def test_random_turns_match_explicit_sum(self):
+        # per-spin np.cos/np.sin of the turns as radians, summed exactly
+        turns = _random_turns(20260808, 100_000)
+        radians = turns.astype(np.float64) * (2 * math.pi / 2**64)
+        assert abs(_mean_phasor(turns) - explicit_receiver_signal(radians)) <= 1e-12
+
+    def test_buffered_call_allocates_no_output_sized_temporary(self):
+        count = 12_288  # one 24-shot `cat` block of 256 samples
+        turns = rng.words(5, count)
+        buffers = np.empty((rng.PHASOR_BUFFER_ROWS, count))
+        indices = np.empty(count, dtype=np.intp)
+        rng.phasor_factors(turns, buffers, indices)
+        tracemalloc.start()
+        try:
+            rng.phasor_factors(turns, buffers, indices)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * count // 4  # one float64 row is 96 KiB
 
 
 class TestWords:
