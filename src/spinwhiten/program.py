@@ -99,6 +99,10 @@ SEED = "seed"  # optional seed=<int in [0, 2^64)>, last if present
 
 _ECHO_CHARS = 40  # messages echo at most this much of an offending token
 
+# `check` refuses an acquire of more shots: shots cost time, not memory, and
+# 2**32 of them take about 2.5 minutes at 3e7 shots/s.
+MAX_SHOTS = 1 << 32
+
 GRAMMAR: dict[str, tuple[type, tuple[tuple[str, str], ...]]] = {
     "pulse90": (Pulse90, (("target name", NAME),)),
     "whiten": (Whiten, (("target name", NAME), ("seed", SEED))),
@@ -179,9 +183,10 @@ def format_program(program: PulseProgram) -> str:
 
 
 def check(program: PulseProgram, max_qubits: int = DEFAULT_MAX_QUBITS) -> PulseProgram:
-    """Enforce protocol order and the register-size limit; returns the program
-    unchanged. Raises ProtocolError, or QubitCountExceeded for a register wider
-    than `max_qubits`; either names the program's source and line."""
+    """Enforce protocol order, the register-size limit and the shot limit;
+    returns the program unchanged. Raises ProtocolError, QubitCountExceeded
+    for a register wider than `max_qubits`, or OutOfRange for an acquire of
+    more than MAX_SHOTS shots; each names the program's source and line."""
     pulsed: set[str] = set()
     whitened: set[str] = set()
     encoded: set[str] = set()
@@ -208,6 +213,11 @@ def check(program: PulseProgram, max_qubits: int = DEFAULT_MAX_QUBITS) -> PulseP
                 problem = f"{_KEYWORD[type(stmt)]} on register {stmt.register!r} before encode"
         elif not encoded:  # Acquire
             problem = "acquire before any register was encoded"
+        elif stmt.shots > MAX_SHOTS:
+            raise OutOfRange(
+                f"{program.source_name}:line {stmt.line_no}: {stmt.shots} shots "
+                f"exceed the limit of {MAX_SHOTS}"
+            )
         if problem:
             raise ProtocolError(stmt.line_no, problem, program.source_name)
     return program

@@ -1,7 +1,8 @@
 """Conventional-acquisition baseline and bookkeeping.
 
 Synthesizes free-induction-decay traces from spectral lines plus complex
-Gaussian noise, transforms them with the in-repo radix-2 FFT, averages
+Gaussian noise, transforms them with `fourier.fft_forward` (the register
+engine's inverse quantum Fourier transform, scaled by sqrt(L)), averages
 repeated shots (noise falls as sqrt(N)), and measures SNR as spectral peak
 magnitude over the RMS of a signal-free window. The averaging study
 synthesizes its clean line once and draws the noise of a block of shots in

@@ -1,15 +1,15 @@
 """Independent slow-path oracles used to freeze expected test values.
 
 These deliberately avoid the library's fast paths: the DFT here is the
-O(L^2) definition evaluated term by term, nothing shared with the radix-2
-code under test; the receiver sum calls cos/sin per spin and sums exactly,
-nothing shared with the table-and-polynomial kernel; gate matrices are
-Kronecker products of 2x2 blocks, nothing shared with the compiled window
-unitaries, phase tables or qubit order, and the state oracle applies
-the same gates one at a time by index arithmetic on a flat vector; the
-phase-estimation distribution is the closed form, not a simulation; the
-averaging study is built shot by shot from `synth_fid`, one trace per shot,
-not from the batched shot blocks.
+O(L^2) definition evaluated term by term, nothing shared with the register
+engine that runs the transforms under test; the receiver sum calls cos/sin
+per spin and sums exactly, nothing shared with the table-and-polynomial
+kernel; gate matrices are Kronecker products of 2x2 blocks, nothing shared
+with the compiled window unitaries, phase tables or qubit order, and the
+state oracle applies the same gates one at a time by index arithmetic on a
+flat vector; the phase-estimation distribution is the closed form, not a
+simulation; the averaging study is built shot by shot from `synth_fid`, one
+trace per shot, not from the batched shot blocks.
 """
 
 import math

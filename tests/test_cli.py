@@ -26,13 +26,14 @@ CANONICAL = (
 )
 
 
-def run_cli(*args, cwd):
+def run_cli(*args, cwd, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "spinwhiten", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
         env=subprocess_env(),
+        timeout=timeout,
     )
 
 
@@ -386,6 +387,17 @@ class TestOversizedRequest:
         assert len(result.stderr.splitlines()) == 1
         assert result.stderr.startswith("Error: out of memory")
         assert result.stdout == ""
+
+
+def test_acquire_over_the_shot_limit_exits_two_at_once(tmp_path):
+    # sampling 2**32 + 1 shots would take minutes; the check refuses them first
+    source = CANONICAL.replace("shots=4096", f"shots={(1 << 32) + 1}")
+    (tmp_path / "big.pp").write_text(source, encoding="utf-8")
+    result = run_cli("run", "big.pp", cwd=tmp_path, timeout=60)
+    assert result.returncode == 2
+    assert result.stderr == (
+        "Error: big.pp:line 5: 4294967297 shots exceed the limit of 4294967296\n")
+    assert result.stdout == ""
 
 
 GOLDEN_DIR = Path(__file__).parent / "golden"

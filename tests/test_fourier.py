@@ -1,4 +1,5 @@
-"""Radix-2 kernel against the O(L^2) definition, round trips, Parseval."""
+"""Engine-run transforms against the O(L^2) definition and np.fft, round
+trips, Parseval."""
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from spinwhiten.fourier import (
     fft_inverse,
     is_power_of_two,
 )
+from spinwhiten.qft import qft_circuit
+from spinwhiten.statevector import compile_circuit, memory_index
 from oracles import naive_dft, naive_idft
 
 
@@ -41,6 +44,30 @@ def test_matches_naive_dft(length):
     want = naive_dft(x)
     got = fft_forward(x)
     assert np.abs(got - want).max() / np.abs(want).max() <= 1e-9
+
+
+@pytest.mark.parametrize("bits", range(1, 21))
+def test_matches_numpy_fft(bits):
+    # np.fft shares no code with the register engine, and reaches the sizes
+    # the O(L^2) oracle cannot
+    x = _random_trace(1 << bits, seed=bits + 100)
+    for got, want in ((fft_forward(x), np.fft.fft(x)), (fft_inverse(x), np.fft.ifft(x))):
+        assert np.abs(got - want).max() / np.abs(want).max() <= 1e-14
+
+
+def test_length_one_is_identity():
+    x = np.array([0.75 - 2.5j])
+    assert np.array_equal(fft_forward(x), x)
+    assert np.array_equal(fft_inverse(x), x)
+
+
+def test_refuses_more_than_2_30_points_before_allocating():
+    # a zero-stride view: 2**31 points that take 16 bytes of memory
+    x = np.broadcast_to(np.complex128(1.0), (1 << 31,))
+    with pytest.raises(errors.QubitCountExceeded):
+        fft_forward(x)
+    with pytest.raises(errors.QubitCountExceeded):
+        fft_inverse(x)
 
 
 def test_inverse_matches_naive_idft():
@@ -80,6 +107,13 @@ def test_rejects_non_power_of_two():
 
 def test_bit_reverse_indices_known_case():
     assert bit_reverse_indices(8).tolist() == [0, 4, 2, 6, 1, 5, 3, 7]
+
+
+@pytest.mark.parametrize("bits", range(1, 13))
+def test_bit_reverse_is_the_transform_readout(bits):
+    # the inverse transform's swap layer leaves the qubit order reversed
+    _, order = compile_circuit(qft_circuit(bits, inverse=True), tuple(range(bits)))
+    assert np.array_equal(bit_reverse_indices(1 << bits), memory_index(order))
 
 
 def test_bit_reverse_is_involution():

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from spinwhiten import rng
-from spinwhiten.errors import ProtocolError, PulseSyntaxError
+from spinwhiten.errors import OutOfRange, ProtocolError, PulseSyntaxError
 from spinwhiten.program import (
+    MAX_SHOTS,
     Acquire,
     Encode,
     Iqft,
@@ -203,6 +204,15 @@ class TestCheck:
         with pytest.raises(ProtocolError) as info:
             check(parse("pulse90 t\nwhiten t\nacquire shots=8"))
         assert info.value.line == 3
+
+    def test_shot_limit_passes(self):
+        program = parse(CANONICAL.replace("shots=4096", f"shots={MAX_SHOTS}"))
+        assert check(program) is program
+
+    def test_one_shot_over_the_limit_is_refused_with_its_line(self):
+        source = CANONICAL.replace("shots=4096", f"shots={MAX_SHOTS + 1}")
+        with pytest.raises(OutOfRange, match=r"^big\.pp:line 5: 4294967297 shots exceed"):
+            check(parse(source, "big.pp"))
 
 
 class TestExecute:
