@@ -15,10 +15,10 @@ exactly gamma_k * 2^64, and the `rng.phasor_factors` kernel turns it into
 a phasor: the entry of a 2^12-entry table of exp(2*pi*i*j/2^12) picked by
 the top bits of t_k, times a short polynomial in the residual angle (at
 most pi/2^12 rad), the table-driven scheme of Tang (ACM TOMS 1989).
-`receiver_signal` hashes the turns 8192 spins at a time into buffers it
-reuses, so memory stays flat in M. Measured against the explicit cos/sin
-sum, the mean agrees within 1.7e-18 over eleven whitened 10^6-spin
-ensembles, and a freshly pulsed ensemble reads exactly 1.
+`rng.phasor_sum` hashes and sums the turns 8192 spins at a time, so
+memory stays flat in M, and `receiver_signal` divides its sum by M. Measured against the explicit cos/sin sum, the mean agrees within
+1.7e-18 over eleven whitened 10^6-spin ensembles, and a freshly pulsed
+ensemble reads exactly 1.
 """
 
 from __future__ import annotations
@@ -26,14 +26,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from . import rng
 from .errors import NotTransverse, OutOfRange
-
-# receiver_signal: spins per block (the block's buffers, ~0.5 MB, stay in L2).
-_BLOCK = 8192
-
 
 class Stage(enum.Enum):
     """Where an ensemble's spins are: the three states the pulse sequence visits."""
@@ -101,23 +95,11 @@ def receiver_signal(ensemble: SpinEnsemble) -> complex:
     """Coherent coil observable: (1/M) * sum_k exp(i*phi_k).
 
     A longitudinal ensemble reads 0 and a freshly pulsed one exactly 1. For a
-    whitened ensemble the turns gamma_k * 2^64 are hashed one block of 8192
-    spins at a time (`rng.turn_blocks`), and each block's phasors are
-    summed from the `rng.phasor_factors` factors with four `np.dot`
-    products. Every buffer is allocated once per call: buffers made and
-    freed per block would be trimmed from the top of the heap by glibc and
-    faulted back in on the next block, about 10^4 page faults and 20 ms per
-    10^6 spins in a fresh process.
+    whitened ensemble the sum of the phasors exp(2*pi*i*gamma_k) comes from
+    `rng.phasor_sum`, which hashes and sums them one block at a time.
     """
     if ensemble.stage is Stage.LONGITUDINAL:
         return 0j
     if ensemble.stage is Stage.TRANSVERSE:
         return 1 + 0j
-    buffers = np.empty((rng.PHASOR_BUFFER_ROWS, _BLOCK))
-    indices = np.empty(_BLOCK, dtype=np.intp)
-    re = im = 0.0
-    for turns in rng.turn_blocks(ensemble.seed, ensemble.count, _BLOCK):
-        table_cos, table_sin, cos_r, sin_r = rng.phasor_factors(turns, buffers, indices)
-        re += np.dot(table_cos, cos_r) - np.dot(table_sin, sin_r)
-        im += np.dot(table_sin, cos_r) + np.dot(table_cos, sin_r)
-    return complex(re, im) / ensemble.count
+    return rng.phasor_sum(ensemble.seed, ensemble.count) / ensemble.count

@@ -15,8 +15,10 @@ Electroacoust. AU-19, 1971). The top 12 bits of t, rounded, pick a 2^12-entry
 table entry, and a short polynomial rotates by the integer residual (Tang,
 ACM TOMS 1989). A hashed word with its low 11 bits cleared is the turn of
 the uniform draw it gives: `normals` takes its Box-Muller cosines from the
-kernel this way, the ensemble's receiver sum its whitened phasors, and the
-register's phase encoding its phasors from exact turns of gamma.
+kernel this way, `phasor_sum` (the receiver sum) its whitened phasors, and
+the register's phase encoding its phasors from exact turns of gamma. The
+block loops of `phasor_sum` and `noise_blocks` (cat's noise) allocate their
+buffers once per call, so no other module knows the buffers' layout.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ _TABLE_ANGLES = np.arange(1 << _TABLE_BITS) * (2.0 * np.pi / (1 << _TABLE_BITS))
 _TABLE_COS = np.cos(_TABLE_ANGLES)
 _TABLE_SIN = np.sin(_TABLE_ANGLES)
 # Float64 rows `phasor_factors` works in.
-PHASOR_BUFFER_ROWS = 6
+_PHASOR_BUFFER_ROWS = 6
 
 
 def mix64(z: int) -> int:
@@ -94,33 +96,47 @@ def uniforms(seed: int | np.ndarray, count: int, start: int = 0) -> np.ndarray:
     return z * _U53_SCALE
 
 
-def turn_blocks(seed: int, count: int, block: int) -> Iterator[np.ndarray]:
-    """Draws 0 .. count-1 of the stream as 64-bit fixed-point turns, `block` at a time.
+# phasor_sum: turns per block (the block's buffers, ~0.5 MB, stay in L2).
+_SUM_BLOCK = 8192
+
+
+def phasor_sum(seed: int, count: int) -> complex:
+    """Sum of exp(2*pi*i*u_k) over draws k = 0 .. count-1 of the stream.
 
     Turn k is mix(seed, k) with its low 11 bits cleared, which is exactly
-    uniform01(mix(seed, k)) * 2^64, the phase 2*pi*u as `phasor_factors`
-    takes it. Each block is a view of one uint64 buffer that the next block
-    overwrites; the counter row seed + (k+1)*GOLDEN advances in place, so no
-    block allocates.
+    u_k * 2^64 for u_k = uniform01(mix(seed, k)), the phase as
+    `phasor_factors` takes it. The turns are hashed _SUM_BLOCK at a time on
+    one counter row, seed + (k+1)*GOLDEN, that advances in place, and each
+    block's phasors are summed from the kernel's factors with four `np.dot`
+    products. Every buffer is allocated once per call: buffers made and freed
+    per block would be trimmed from the top of the heap by glibc and faulted
+    back in on the next block, about 10^4 page faults and 20 ms per 10^6
+    turns in a fresh process.
     """
-    counter = np.arange(1, block + 1, dtype=np.uint64)
+    buffers = np.empty((_PHASOR_BUFFER_ROWS, _SUM_BLOCK))
+    indices = np.empty(_SUM_BLOCK, dtype=np.intp)
+    counter = np.arange(1, _SUM_BLOCK + 1, dtype=np.uint64)
     counter *= np.uint64(GOLDEN)
     counter += np.uint64(seed & MASK64)
-    advance = np.uint64(block * GOLDEN & MASK64)
-    turns = np.empty(block, dtype=np.uint64)
+    advance = np.uint64(_SUM_BLOCK * GOLDEN & MASK64)
+    turns = np.empty(_SUM_BLOCK, dtype=np.uint64)
     scratch = np.empty_like(turns)
-    for start in range(0, count, block):
-        size = min(block, count - start)
-        out = _mix_into(counter[:size], turns[:size], scratch[:size])
-        out &= _TURN_MASK
+    re = im = 0.0
+    for start in range(0, count, _SUM_BLOCK):
+        size = min(_SUM_BLOCK, count - start)
+        block = _mix_into(counter[:size], turns[:size], scratch[:size])
+        block &= _TURN_MASK
         counter += advance
-        yield out
+        table_cos, table_sin, cos_r, sin_r = phasor_factors(block, buffers, indices)
+        re += np.dot(table_cos, cos_r) - np.dot(table_sin, sin_r)
+        im += np.dot(table_sin, cos_r) + np.dot(table_cos, sin_r)
+    return complex(re, im)
 
 
 # Rows of the float64 array that `normals` reuses: one for the angle words and
-# then the result, PHASOR_BUFFER_ROWS for `phasor_factors` and one for its
+# then the result, _PHASOR_BUFFER_ROWS for `phasor_factors` and one for its
 # table indices.
-NORMAL_BUFFER_ROWS = PHASOR_BUFFER_ROWS + 2
+_NORMAL_BUFFER_ROWS = _PHASOR_BUFFER_ROWS + 2
 
 
 def normals(
@@ -137,17 +153,17 @@ def normals(
     kernel, not from libm; against the scalar math.cos formula each draw is
     within 1e-15 * max(1, radius). seed may be a uint64 column of streams, as
     in `words`; each row is then that stream's draws. `buffers`, a
-    C-contiguous float64 array of shape (NORMAL_BUFFER_ROWS, >= the number
+    C-contiguous float64 array of shape (_NORMAL_BUFFER_ROWS, >= the number
     of draws), is reused when given: the result is then a view of its first
     row, and the other rows are free once the call returns.
     """
     shape = _draw_shape(seed, count)
     size = math.prod(shape)
     if buffers is None:
-        buffers = np.empty((NORMAL_BUFFER_ROWS, size))
+        buffers = np.empty((_NORMAL_BUFFER_ROWS, size))
     row = buffers[0, :size]
-    factors = buffers[1 : PHASOR_BUFFER_ROWS + 1]
-    indices = buffers[PHASOR_BUFFER_ROWS + 1].view(np.intp)
+    factors = buffers[1 : _PHASOR_BUFFER_ROWS + 1]
+    indices = buffers[_PHASOR_BUFFER_ROWS + 1].view(np.intp)
     # The odd positions give the angle: each word, its low 11 bits cleared, is
     # the turn of u = (word >> 11) * 2^-53, hashed into row 0 with row 1 for
     # the shifts. cos(2 pi u) = T_cos cos r - T_sin sin r.
@@ -176,6 +192,25 @@ def normals(
     return row.reshape(shape)
 
 
+def noise_blocks(seeds: np.ndarray, length: int, block: int) -> Iterator[np.ndarray]:
+    """Complex standard normals for a uint64 seed column, `block` streams at a time.
+
+    Row b of a (b, length) block holds ``normals(seeds[b], 2 * length)``,
+    the first half as its real parts and the second as its imaginary parts.
+    Every block is a complex128 view of one workspace, allocated at full
+    block size once per call (so successive calls reuse one heap block),
+    that the next block's one `normals` call overwrites.
+    """
+    workspace = np.empty((_NORMAL_BUFFER_ROWS, block * 2 * length))
+    for lo in range(0, len(seeds), block):
+        draws = normals(seeds[lo:lo + block], 2 * length, buffers=workspace)
+        # The draws leave the second row free; the complex block is laid there.
+        noise = workspace[1, :draws.size].view(np.complex128).reshape(len(draws), length)
+        np.copyto(noise.real, draws[:, :length])
+        np.copyto(noise.imag, draws[:, length:])
+        yield noise
+
+
 def phasor_factors(
     turns: np.ndarray,
     buffers: np.ndarray | None = None,
@@ -191,14 +226,14 @@ def phasor_factors(
     table entry for a times cos r = 1 - r^2/2 + r^4/24 and sin r = r - r^3/6
     (truncation below 3e-18). A phasor formed from the factors lies within
     1e-15 of the exact one (8.1e-16 at worst over 2*10^4 random turns).
-    `buffers`, a (PHASOR_BUFFER_ROWS, >= len(turns)) float64 array, and
+    `buffers`, a (_PHASOR_BUFFER_ROWS, >= len(turns)) float64 array, and
     `indices`, an intp array at least as long, are reused when given: the
     four factors returned are views into `buffers`, and on return `indices`
     holds the table indices and `buffers[0]` the residual angles r.
     """
     count = len(turns)
     if buffers is None:
-        buffers = np.empty((PHASOR_BUFFER_ROWS, count))
+        buffers = np.empty((_PHASOR_BUFFER_ROWS, count))
     index = np.empty(count, dtype=np.intp) if indices is None else indices[:count]
     r, r2, cos_r, sin_r, table_cos, table_sin = buffers[:, :count]
     # The index and the residual are formed in uint64; the residual lands in

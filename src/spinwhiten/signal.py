@@ -4,10 +4,12 @@ Synthesizes free-induction-decay traces from spectral lines plus complex
 Gaussian noise, transforms them with `fourier.fft_forward` (the register
 engine's inverse quantum Fourier transform, scaled by sqrt(L)), averages
 repeated shots (noise falls as sqrt(N)), and measures SNR as spectral peak
-magnitude over the RMS of a signal-free window. The averaging study
-synthesizes its clean line once and draws the noise of a block of shots in
-one vectorized pass; every shot stays bit-identical to a `synth_fid` call
-with that shot's seed, and the average sums the blocks' rows in shot order.
+magnitude over the RMS of a signal-free window. Noise comes in blocks from
+`rng.noise_blocks`, scaled here and added to the clean line in place. The
+averaging study synthesizes its clean line once and takes the noise of a
+block of shots from one such block; every shot stays bit-identical to a
+`synth_fid` call with that shot's seed, and the average sums the blocks'
+rows in shot order.
 Also carries the spin-budget decade arithmetic and the register-size
 enhancement report.
 """
@@ -15,7 +17,7 @@ enhancement report.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,31 +90,15 @@ def _check_noise_sigma(noise_sigma: float) -> None:
         raise OutOfRange(f"noise sigma must be finite and >= 0, got {noise_sigma}")
 
 
-def _add_noise(
-    clean: np.ndarray,
-    noise_sigma: float,
-    seed: int | np.ndarray,
-    buffers: np.ndarray | None = None,
-) -> np.ndarray:
-    """clean plus complex Gaussian noise of std noise_sigma per component.
-
-    The real parts take draws 0 .. L-1 of the stream of `seed`, the imaginary
-    parts draws L .. 2L-1. A uint64 seed column of shape (B, 1) gives B noisy
-    copies, row b bit-identical to the call with the scalar seed[b]. Given
-    `buffers` (see `rng.normals`), the draws reuse them and the samples are
-    written into their second row, which the draws leave free.
-    """
-    length = clean.shape[-1]
-    noise = rng.normals(seed, 2 * length, buffers=buffers)
-    shape = noise.shape[:-1] + (length,)
-    if buffers is None:
-        samples = np.empty(shape, dtype=np.complex128)
-    else:
-        samples = buffers[1, :noise.size].view(np.complex128).reshape(shape)
-    np.multiply(noise[..., :length], noise_sigma, out=samples.real)
-    np.multiply(noise[..., length:], noise_sigma, out=samples.imag)
-    samples += clean
-    return samples
+def _noisy_shots(clean: np.ndarray, noise_sigma: float, seeds: np.ndarray,
+                 block: int) -> Iterator[np.ndarray]:
+    """clean plus complex Gaussian noise of std noise_sigma per component, one
+    shot per seed, scaled and offset in place in the blocks of `rng.noise_blocks`."""
+    for samples in rng.noise_blocks(seeds, len(clean), block):
+        samples.real *= noise_sigma
+        samples.imag *= noise_sigma
+        samples += clean
+        yield samples
 
 
 def synth_fid(
@@ -126,7 +112,8 @@ def synth_fid(
 
     s(t_j) = sum_l A_l exp(2*pi*i*nu_l*t_j) exp(-t_j / T2_l) + noise, with
     independent Gaussian noise of std `noise_sigma` on each of the real and
-    imaginary parts, drawn from the counter-based stream of `seed`.
+    imaginary parts: the real parts take draws 0 .. L-1 of the counter-based
+    stream of `seed`, the imaginary parts draws L .. 2L-1.
     """
     if not fourier.is_power_of_two(length) or length < 2:
         raise NotPowerOfTwo(f"trace length {length} is not a power of two >= 2")
@@ -140,10 +127,12 @@ def synth_fid(
             raise LineAboveNyquist(
                 f"line at {line.freq_hz} Hz is not below Nyquist {nyquist} Hz"
             )
-        decay = np.exp(-t / line.t2_s) if math.isfinite(line.t2_s) else 1.0
+        decay = np.exp(-t / line.t2_s)  # exactly 1.0 for T2 = inf
         samples += line.amp * decay * np.exp(2j * np.pi * line.freq_hz * t)
     if noise_sigma > 0:
-        samples = _add_noise(samples, noise_sigma, seed)
+        column = np.array([[seed & rng.MASK64]], dtype=np.uint64)
+        # copied out of rng's workspace, which is several times its size
+        samples = next(_noisy_shots(samples, noise_sigma, column, 1))[0].copy()
     return FidTrace(samples, dwell_s)
 
 
@@ -303,14 +292,13 @@ DEFAULT_CAT_NOISE_SIGMA = 1.0
 # Line at 125 Hz lands in bin 32 of 256; windows stay clear of it.
 DEFAULT_PEAK_WINDOW = (30, 35)
 DEFAULT_NOISE_WINDOW = (128, 224)
-# Shots whose noise one `rng.normals` call draws. Its buffers hold 8 float64
-# per draw (9 when the block sizes below were compared), 0.75 MiB for 24
-# shots of 256 samples, and the `cat_average` stack
-# holds 8 KiB per shot. Over default `cat` tasks in one process (2-vCPU Xeon,
-# numpy 2.4.6), blocks of 16, 24, 32 and 64 shots came within 6% of each
-# other in CPU time (64 fastest), but raised the peak RSS over that of the
-# per-block allocations they replaced by 0.1, 0.3, 0.8 and 2.3 MB: 24 is the
-# largest of them that adds less than 0.5 MB.
+# Shots per `rng.noise_blocks` block. rng's workspace for one block, 0.75 MiB
+# for 24 shots of 256 samples, and the `cat_average` stack, 8 KiB per shot,
+# are allocated once per call. Over default `cat` tasks in one process
+# (2-vCPU Xeon, numpy 2.4.6), blocks of 16, 24, 32 and 64 shots came within
+# 6% of each other in CPU time (64 fastest), but raised the peak RSS over
+# that of the per-block allocations they replaced by 0.1, 0.3, 0.8 and
+# 2.3 MB: 24 is the largest of them that adds less than 0.5 MB.
 _CAT_SHOT_BLOCK = 24
 
 
@@ -328,33 +316,21 @@ def cat_snr(
     (seed, n_shots) pair is reproducible and shots never share noise. Shot j
     is bit-identical to ``synth_fid([line], length, dwell_s, noise_sigma,
     seed=rng.mix(seed, j))``, but the clean line is synthesized once and the
-    noise of _CAT_SHOT_BLOCK shots is drawn in one pass into one (B, length)
-    block (without noise, a view of the clean line), which `cat_average`
-    consumes; no trace object per shot is built. The draws' buffers, the
-    noisy block and the average's stack are allocated once per call, not
-    once per block. A line whose bin, round(freq * length * dwell) mod
-    length, misses DEFAULT_PEAK_WINDOW or lands in DEFAULT_NOISE_WINDOW
-    raises OutOfRange.
+    noise of _CAT_SHOT_BLOCK shots comes as one (B, length) block of
+    `rng.noise_blocks`, scaled and offset by the clean line in place, which
+    `cat_average` consumes; no trace object per shot is built, and without
+    noise the shots are the clean line itself. A line whose bin,
+    round(freq * length * dwell) mod length, misses DEFAULT_PEAK_WINDOW or
+    lands in DEFAULT_NOISE_WINDOW raises OutOfRange before any shot is drawn.
     """
     _check_noise_sigma(noise_sigma)
     # overflow near the float limit is refused by estimate_snr, not warned of
     with np.errstate(over="ignore", invalid="ignore"):
         clean = synth_fid([line], length, dwell_s).samples
-        seeds = rng.words(seed, n_shots)[:, None]
-        # One block's buffers, full size whatever n_shots, so that successive
-        # calls reuse one heap block instead of fragmenting the heap. Each
-        # noisy block is a view into them, overwritten by the next block
-        # after cat_average has added it.
-        buffers = np.empty((rng.NORMAL_BUFFER_ROWS, _CAT_SHOT_BLOCK * 2 * length))
-        blocks = (
-            _add_noise(clean, noise_sigma, seeds[lo:lo + _CAT_SHOT_BLOCK], buffers)
-            if noise_sigma
-            else np.broadcast_to(clean, (min(_CAT_SHOT_BLOCK, n_shots - lo), length))
-            for lo in range(0, n_shots, _CAT_SHOT_BLOCK)
-        )
-        averaged = cat_average(blocks, dwell_s)
-        spectrum = fft(averaged)
         _check_line_bin(line, length, dwell_s)
+        seeds = rng.words(seed, n_shots)[:, None]
+        shots = _noisy_shots(clean, noise_sigma, seeds, _CAT_SHOT_BLOCK)
+        spectrum = fft(cat_average(shots, dwell_s))
         report = estimate_snr(spectrum, DEFAULT_PEAK_WINDOW, DEFAULT_NOISE_WINDOW)
     return report.snr
 

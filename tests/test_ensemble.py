@@ -22,7 +22,7 @@ def _whitened(count, seed):
 
 
 def _kernel_mean(turns):
-    """Mean of the kernel's phasors over turns, summed as receiver_signal
+    """Mean of the kernel's phasors over turns, summed as rng.phasor_sum
     sums one block: four np.dot products."""
     table_cos, table_sin, cos_r, sin_r = rng.phasor_factors(turns)
     re = np.dot(table_cos, cos_r) - np.dot(table_sin, sin_r)

@@ -103,7 +103,7 @@ class TestNormalsBuffers:
     @pytest.mark.parametrize("start", [0, 1, 20, 33])
     def test_equal_to_fresh_buffers(self, seed, start):
         seed = self.SEEDS[:, None] if seed == "column" else seed
-        buffers = np.full((rng.NORMAL_BUFFER_ROWS, 5 * 64 + 3), np.nan)
+        buffers = np.full((rng._NORMAL_BUFFER_ROWS, 5 * 64 + 3), np.nan)
         rng.normals(99, 64, start=5, buffers=buffers)  # stale values to overwrite
         got = rng.normals(seed, 64, start=start, buffers=buffers)
         want = rng.normals(seed, 64, start=start)
@@ -126,17 +126,37 @@ def _random_turns(seed, count):
     return np.random.default_rng(seed).integers(0, 2**64, count, dtype=np.uint64)
 
 
-class TestTurnBlocks:
+class TestPhasorSum:
     @pytest.mark.parametrize("seed", [0, 2**63 + 5, rng.MASK64])
-    @pytest.mark.parametrize("count, block", [(1, 8), (10_001, 4096), (8192, 8192)])
-    def test_turns_are_uniforms_times_two_to_64(self, seed, count, block):
-        blocks = [turns.copy() for turns in rng.turn_blocks(seed, count, block)]
-        assert [len(b) for b in blocks[:-1]] == [block] * (len(blocks) - 1)
-        turns = np.concatenate(blocks)
-        assert turns.dtype == np.uint64
-        # every turn has at most 53 significant bits, so the cast is exact
-        assert np.array_equal(turns.astype(np.float64), rng.uniforms(seed, count) * 2.0**64)
-        assert np.array_equal(turns >> np.uint64(11), rng.words(seed, count) >> np.uint64(11))
+    @pytest.mark.parametrize("count", [1, 8191, 8192, 8193, 10_001])
+    def test_sum_of_phasors_of_uniform_turns(self, seed, count):
+        # every uniform has at most 53 significant bits, so the turns are exact
+        turns = (rng.uniforms(seed, count) * 2.0**64).astype(np.uint64)
+        table_cos, table_sin, cos_r, sin_r = rng.phasor_factors(turns)
+        want = complex(math.fsum(table_cos * cos_r - table_sin * sin_r),
+                       math.fsum(table_sin * cos_r + table_cos * sin_r))
+        # only the blocks' np.dot sums round differently from fsum
+        assert abs(rng.phasor_sum(seed, count) - want) <= 1e-15 * count
+
+
+class TestNoiseBlocks:
+    SEEDS = rng.words(2**63 + 3, 49)
+
+    @pytest.mark.parametrize("shots", [1, 23, 24, 25, 49])
+    def test_rows_are_split_normals_in_one_buffer(self, shots):
+        length, block = 8, 24
+        seeds = self.SEEDS[:shots, None]
+        sizes, first = [], None
+        for lo, noise in zip(range(0, shots, block), rng.noise_blocks(seeds, length, block)):
+            first = noise if first is None else first
+            assert np.shares_memory(noise, first)  # one buffer, overwritten
+            assert noise.dtype == np.complex128 and noise.shape[1] == length
+            sizes.append(len(noise))
+            for row, seed in zip(noise, seeds[lo:lo + block, 0]):
+                draws = rng.normals(int(seed), 2 * length)
+                assert np.array_equal(row.real.view(np.uint64), draws[:length].view(np.uint64))
+                assert np.array_equal(row.imag.view(np.uint64), draws[length:].view(np.uint64))
+        assert sizes == [min(block, shots - lo) for lo in range(0, shots, block)]
 
 
 class TestPhasorKernel:
@@ -149,14 +169,14 @@ class TestPhasorKernel:
         return np.concatenate([
             np.array(self.EDGES, dtype=np.uint64),
             _random_turns(16, 3000),
-            next(rng.turn_blocks(7, 1000, 1000)),  # whitening turns
+            rng.words(7, 1000) & ~np.uint64(0x7FF),  # whitening turns
         ])
 
     def test_integer_split(self):
         # On return the indices hold the table indices and buffers[0] the
         # residual angles r, each the one rounding of residual * 2*pi/2^64.
         turns = self.turns()
-        buffers = np.empty((rng.PHASOR_BUFFER_ROWS, len(turns)))
+        buffers = np.empty((rng._PHASOR_BUFFER_ROWS, len(turns)))
         indices = np.empty(len(turns), dtype=np.intp)
         rng.phasor_factors(turns, buffers, indices)
         scale = 2 * math.pi / 2**64
@@ -203,7 +223,7 @@ class TestPhasorKernel:
     def test_buffered_call_allocates_no_output_sized_temporary(self):
         count = 12_288  # one 24-shot `cat` block of 256 samples
         turns = rng.words(5, count)
-        buffers = np.empty((rng.PHASOR_BUFFER_ROWS, count))
+        buffers = np.empty((rng._PHASOR_BUFFER_ROWS, count))
         indices = np.empty(count, dtype=np.intp)
         rng.phasor_factors(turns, buffers, indices)
         tracemalloc.start()

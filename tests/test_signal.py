@@ -366,13 +366,14 @@ class TestBatchedCatMatchesPerShotSynthesis:
 
     @pytest.mark.parametrize("n_shots", [63, 65])
     def test_short_trace_average(self, n_shots, monkeypatch):
-        # At length 64 the default windows do not fit, so compare the average
-        # that reaches the transform before estimate_snr refuses it.
+        # At length 64 the noise window does not fit, so compare the average
+        # that reaches the transform before estimate_snr refuses it. The
+        # line, 468.75 Hz, lands in bin 30 of 64, inside the peak window.
         seen = []
         real_fft = signal.fft
         monkeypatch.setattr(signal, "fft", lambda trace: seen.append(trace) or real_fft(trace))
-        line = SpectralLine(125.0, 1.0, t2_s=0.02)
-        with pytest.raises(errors.OutOfRange, match="window"):
+        line = SpectralLine(468.75, 1.0, t2_s=0.02)
+        with pytest.raises(errors.OutOfRange, match="noise window .* outside spectrum"):
             cat_snr(n_shots, 8, line=line, noise_sigma=0.5, length=64)
         want = explicit_cat_average(n_shots, 8, line, 0.5, 64, 1e-3)
         assert len(seen) == 1
@@ -381,11 +382,19 @@ class TestBatchedCatMatchesPerShotSynthesis:
 
     @pytest.mark.parametrize("n_shots", [1, 33, 65])
     def test_noiseless_decaying_line(self, n_shots):
-        # without noise the blocks are broadcast views of the clean line; the
-        # decay puts signal into the noise window, so an SNR is measured
+        # without noise every shot equals the clean line; the decay puts
+        # signal into the noise window, so an SNR is measured
         line = SpectralLine(125.0, 1.0, t2_s=0.01)
         got = cat_snr(n_shots, 5, line=line, noise_sigma=0.0)
         assert got == explicit_cat_snr(n_shots, 5, line, 0.0, 256, 1e-3)
+
+    def test_misplaced_line_refused_before_any_shot_is_drawn(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("rng.normals called")
+
+        monkeypatch.setattr(rng, "normals", refuse)
+        with pytest.raises(errors.OutOfRange, match="outside the fixed peak window"):
+            cat_snr(100_000, seed=1, line=SpectralLine(-125.0, 1.0))
 
     def test_peak_memory_does_not_grow_with_shots(self):
         # 1024 traces of 256 samples alone hold 4 MiB.
