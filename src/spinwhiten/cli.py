@@ -132,6 +132,17 @@ _EXIT_CODES = {
 }
 
 
+# No array numpy can index holds more than sys.maxsize bytes, so a size flag
+# above this (complex128 elements, 16 bytes each) can never be allocated. It is
+# refused up front as out of memory, where numpy would raise a bare ValueError.
+_MAX_SIZE = sys.maxsize // 16
+
+
+def _check_size(flag: str, value: int) -> None:
+    if value > _MAX_SIZE:
+        raise MemoryError(f"{flag} {value} exceeds {_MAX_SIZE} elements")
+
+
 class _Main(click.Group):
     """The command group, and the one place where exceptions become exit codes."""
 
@@ -233,6 +244,8 @@ def cmd_cat(cfg: CliConfig, n_list: str, seeds: int, line_spec: str, noise: floa
         raise MalformedInput(f"malformed option: {exc}") from exc
     if not counts or min(counts) < 1:
         raise OutOfRange("--n-list needs positive integers")
+    _check_size("--n-list", max(counts))
+    _check_size("--length", length)
     seed = cfg.master_seed if seed is None else seed
     rows = sig.cat_experiment(
         counts, seeds, master_seed=seed,
@@ -284,6 +297,7 @@ def cmd_budget(overrides: str | None):
 @click.pass_obj
 def cmd_peak_sweep(cfg: CliConfig, qubits: int, grid: int, out_path: str | None):
     """Concentration of the inverse transform over a dense phase grid."""
+    _check_size("--grid", grid)
     gammas, argmax, peaks = concentration_sweep(qubits, grid)
     csv = ["gamma,argmax,peak_probability"]
     csv += map("{:.17g},{},{:.17g}".format, gammas.tolist(), argmax.tolist(), peaks.tolist())

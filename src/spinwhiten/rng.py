@@ -51,8 +51,8 @@ _TURN_RADIANS = 2.0 * np.pi * 2.0 ** -64
 _TABLE_ANGLES = np.arange(1 << _TABLE_BITS) * (2.0 * np.pi / (1 << _TABLE_BITS))
 _TABLE_COS = np.cos(_TABLE_ANGLES)
 _TABLE_SIN = np.sin(_TABLE_ANGLES)
-# Float64 rows `phasor_factors` works in.
-_PHASOR_BUFFER_ROWS = 6
+# Float64 rows `phasor_factors` works in, the last holding its table indices.
+_PHASOR_BUFFER_ROWS = 7
 
 
 def mix64(z: int) -> int:
@@ -114,7 +114,6 @@ def phasor_sum(seed: int, count: int) -> complex:
     turns in a fresh process.
     """
     buffers = np.empty((_PHASOR_BUFFER_ROWS, _SUM_BLOCK))
-    indices = np.empty(_SUM_BLOCK, dtype=np.intp)
     counter = np.arange(1, _SUM_BLOCK + 1, dtype=np.uint64)
     counter *= np.uint64(GOLDEN)
     counter += np.uint64(seed & MASK64)
@@ -127,16 +126,15 @@ def phasor_sum(seed: int, count: int) -> complex:
         block = _mix_into(counter[:size], turns[:size], scratch[:size])
         block &= _TURN_MASK
         counter += advance
-        table_cos, table_sin, cos_r, sin_r = phasor_factors(block, buffers, indices)
+        table_cos, table_sin, cos_r, sin_r = phasor_factors(block, buffers)
         re += np.dot(table_cos, cos_r) - np.dot(table_sin, sin_r)
         im += np.dot(table_sin, cos_r) + np.dot(table_cos, sin_r)
     return complex(re, im)
 
 
 # Rows of the float64 array that `normals` reuses: one for the angle words and
-# then the result, _PHASOR_BUFFER_ROWS for `phasor_factors` and one for its
-# table indices.
-_NORMAL_BUFFER_ROWS = _PHASOR_BUFFER_ROWS + 2
+# then the result, and _PHASOR_BUFFER_ROWS for `phasor_factors`.
+_NORMAL_BUFFER_ROWS = _PHASOR_BUFFER_ROWS + 1
 
 
 def normals(
@@ -162,8 +160,6 @@ def normals(
     if buffers is None:
         buffers = np.empty((_NORMAL_BUFFER_ROWS, size))
     row = buffers[0, :size]
-    factors = buffers[1 : _PHASOR_BUFFER_ROWS + 1]
-    indices = buffers[_PHASOR_BUFFER_ROWS + 1].view(np.intp)
     # The odd positions give the angle: each word, its low 11 bits cleared, is
     # the turn of u = (word >> 11) * 2^-53, hashed into row 0 with row 1 for
     # the shifts. cos(2 pi u) = T_cos cos r - T_sin sin r.
@@ -171,7 +167,7 @@ def normals(
     _hash_into(seed, 2 * start + 1, 2, turns.reshape(shape),
                buffers[1, :size].view(np.uint64).reshape(shape))
     turns &= _TURN_MASK
-    table_cos, table_sin, cos_r, sin_r = phasor_factors(turns, factors, indices)
+    table_cos, table_sin, cos_r, sin_r = phasor_factors(turns, buffers[1:])
     cos_r *= table_cos
     sin_r *= table_sin
     cos_r -= sin_r
@@ -212,9 +208,7 @@ def noise_blocks(seeds: np.ndarray, length: int, block: int) -> Iterator[np.ndar
 
 
 def phasor_factors(
-    turns: np.ndarray,
-    buffers: np.ndarray | None = None,
-    indices: np.ndarray | None = None,
+    turns: np.ndarray, buffers: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Factors (T_cos, T_sin, cos r, sin r) of exp(2*pi*i*t/2^64), elementwise.
 
@@ -226,16 +220,16 @@ def phasor_factors(
     table entry for a times cos r = 1 - r^2/2 + r^4/24 and sin r = r - r^3/6
     (truncation below 3e-18). A phasor formed from the factors lies within
     1e-15 of the exact one (8.1e-16 at worst over 2*10^4 random turns).
-    `buffers`, a (_PHASOR_BUFFER_ROWS, >= len(turns)) float64 array, and
-    `indices`, an intp array at least as long, are reused when given: the
-    four factors returned are views into `buffers`, and on return `indices`
-    holds the table indices and `buffers[0]` the residual angles r.
+    `buffers`, a C-contiguous (_PHASOR_BUFFER_ROWS, >= len(turns)) float64
+    array, is reused when given: the four factors returned are views into it,
+    and on return `buffers[0]` holds the residual angles r and its last row,
+    viewed as intp, the table indices.
     """
     count = len(turns)
     if buffers is None:
         buffers = np.empty((_PHASOR_BUFFER_ROWS, count))
-    index = np.empty(count, dtype=np.intp) if indices is None else indices[:count]
-    r, r2, cos_r, sin_r, table_cos, table_sin = buffers[:, :count]
+    r, r2, cos_r, sin_r, table_cos, table_sin = buffers[:-1, :count]
+    index = buffers[-1].view(np.intp)[:count]
     # The index and the residual are formed in uint64; the residual lands in
     # the r2 row and is cast into r by np.copyto, which needs no temporary.
     spread = index.view(np.uint64)

@@ -170,9 +170,6 @@ class StateVector:
         if not self.order:
             self.order = tuple(range(self.num_qubits))
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
     def natural_amps(self) -> np.ndarray:
         """Amplitudes in natural order, a new array: entry x is the amplitude
         of basis state |x>, qubit 0 its most significant bit."""

@@ -369,8 +369,9 @@ class TestOwnUsageErrors:
 class TestOversizedRequest:
     """A request whose first large array exceeds the 2**47-byte user address
     space, which no allocator can grant, exits 2 with one Error line instead
-    of a MemoryError traceback. (`run` has no such request: its shots are
-    drawn in blocks of fixed size.)"""
+    of a MemoryError traceback; so does a size above sys.maxsize // 16, which
+    numpy cannot index at all and the CLI refuses before allocating. (`run`
+    has no such request: its shots are drawn in blocks of fixed size.)"""
 
     @pytest.mark.parametrize("args", [
         pytest.param(("peak-sweep", "--qubits", "4", "--grid", str(10**14)),
@@ -379,6 +380,16 @@ class TestOversizedRequest:
                      id="cat-shots"),  # 8e14 B of shot seeds
         pytest.param(("cat", "--length", str(1 << 45), "--n-list", "1", "--seeds", "1"),
                      id="cat-length"),  # 2**48 B
+        pytest.param(("cat", "--n-list", str(10**19), "--seeds", "1"),
+                     id="cat-shots-above-int64"),
+        pytest.param(("peak-sweep", "--qubits", "4", "--grid", str(10**19)),
+                     id="sweep-grid-above-int64"),
+        pytest.param(("cat", "--length", str(1 << 62), "--n-list", "1", "--seeds", "1"),
+                     id="cat-length-above-intp-bytes"),
+        pytest.param(("cat", "--n-list", str(1 << 61), "--seeds", "1"),
+                     id="cat-shots-above-intp-bytes"),
+        pytest.param(("peak-sweep", "--qubits", "4", "--grid", str(1 << 61)),
+                     id="sweep-grid-above-intp-bytes"),
     ])
     def test_exits_two_with_one_error_line(self, tmp_path, args):
         result = run_cli(*args, cwd=tmp_path)

@@ -173,12 +173,12 @@ class TestPhasorKernel:
         ])
 
     def test_integer_split(self):
-        # On return the indices hold the table indices and buffers[0] the
-        # residual angles r, each the one rounding of residual * 2*pi/2^64.
+        # On return the last buffer row holds the table indices and buffers[0]
+        # the residual angles r, each the one rounding of residual * 2*pi/2^64.
         turns = self.turns()
         buffers = np.empty((rng._PHASOR_BUFFER_ROWS, len(turns)))
-        indices = np.empty(len(turns), dtype=np.intp)
-        rng.phasor_factors(turns, buffers, indices)
+        rng.phasor_factors(turns, buffers)
+        indices = buffers[-1].view(np.intp)[:len(turns)]
         scale = 2 * math.pi / 2**64
         for t, index, r in zip(turns.tolist(), indices.tolist(), buffers[0].tolist()):
             # |r - residual*scale| <= 2^-53 |r| < scale / 4, so rounding recovers it
@@ -224,11 +224,10 @@ class TestPhasorKernel:
         count = 12_288  # one 24-shot `cat` block of 256 samples
         turns = rng.words(5, count)
         buffers = np.empty((rng._PHASOR_BUFFER_ROWS, count))
-        indices = np.empty(count, dtype=np.intp)
-        rng.phasor_factors(turns, buffers, indices)
+        rng.phasor_factors(turns, buffers)
         tracemalloc.start()
         try:
-            rng.phasor_factors(turns, buffers, indices)
+            rng.phasor_factors(turns, buffers)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
