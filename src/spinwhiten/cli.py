@@ -29,8 +29,8 @@ import click
 import numpy as np
 
 from . import signal as sig
-from .errors import MalformedInput, OutOfRange, ProtocolError, QubitCountExceeded, SpinWhitenError
-from .program import execute, parse
+from .errors import OutOfRange, ProtocolError, QubitCountExceeded, SpinWhitenError
+from .program import MAX_SHOTS, execute, parse
 from .qft import concentration_sweep, dft_matrix, qft_circuit
 from .statevector import (
     ABSOLUTE_MAX_QUBITS,
@@ -62,7 +62,7 @@ class CliConfig:
         if self.default_ensemble_size < 1:
             raise OutOfRange("default_ensemble_size must be >= 1")
         if self.output_format not in ("csv", "json"):
-            raise MalformedInput(f"unknown output_format {self.output_format!r}")
+            raise OutOfRange(f"unknown output_format {self.output_format!r}")
         return self
 
 
@@ -70,7 +70,7 @@ def _read_text(path: Path | str, what: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise MalformedInput(f"{what} {path} is not UTF-8 text: {exc}") from exc
+        raise OutOfRange(f"{what} {path} is not UTF-8 text: {exc}") from exc
 
 
 def load_config(path: Path | None) -> CliConfig:
@@ -87,19 +87,19 @@ def load_config(path: Path | None) -> CliConfig:
         key, sep, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if not sep:
-            raise MalformedInput(f"malformed config line: {raw!r}")
+            raise OutOfRange(f"malformed config line: {raw!r}")
         if key in ("max_qubits", "default_ensemble_size", "master_seed"):
             try:
                 setattr(cfg, key, int(value))
             except ValueError as exc:
-                raise MalformedInput(
+                raise OutOfRange(
                     f"config key {key!r} needs an integer, got {value!r}") from exc
         elif key == "output_format":
             cfg.output_format = value
         elif key == "out_path":
             cfg.out_path = value
         else:
-            raise MalformedInput(f"unknown config key {key!r}")
+            raise OutOfRange(f"unknown config key {key!r}")
     return cfg.validate()
 
 
@@ -241,11 +241,15 @@ def cmd_cat(cfg: CliConfig, n_list: str, seeds: int, line_spec: str, noise: floa
         counts = [int(part) for part in n_list.split(",") if part.strip()]
         freq, amp, t2 = (float(part) for part in line_spec.split(","))
     except ValueError as exc:
-        raise MalformedInput(f"malformed option: {exc}") from exc
+        raise OutOfRange(f"malformed option: {exc}") from exc
     if not counts or min(counts) < 1:
         raise OutOfRange("--n-list needs positive integers")
     _check_size("--n-list", max(counts))
     _check_size("--length", length)
+    shots = seeds * sum(counts)
+    if shots > MAX_SHOTS:
+        raise OutOfRange(f"{shots} shots (--seeds times the --n-list total) "
+                         f"exceed the limit of {MAX_SHOTS}")
     seed = cfg.master_seed if seed is None else seed
     rows = sig.cat_experiment(
         counts, seeds, master_seed=seed,
@@ -273,15 +277,15 @@ def cmd_budget(overrides: str | None):
     if overrides is not None:
         parts = [part.strip() for part in overrides.split(",") if part.strip()]
         if not parts:
-            raise MalformedInput("--stages given but empty")
+            raise OutOfRange("--stages given but empty")
         for part in parts:
             key, sep, value = part.partition("=")
             if not sep or key not in stages:
-                raise MalformedInput(f"unknown or malformed stage override {part!r}")
+                raise OutOfRange(f"unknown or malformed stage override {part!r}")
             try:
                 stages[key] = int(value)
             except ValueError as exc:
-                raise MalformedInput(f"stage exponent must be integer: {part!r}") from exc
+                raise OutOfRange(f"stage exponent must be integer: {part!r}") from exc
     chain = sig.spin_budget_chain(sig.SpinBudget(tuple(stages.items())))
     _echo("stage,cumulative_exponent,population")
     for stage in chain:

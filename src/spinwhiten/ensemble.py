@@ -27,7 +27,7 @@ import enum
 from dataclasses import dataclass, replace
 
 from . import rng
-from .errors import NotTransverse, OutOfRange
+from .errors import OutOfRange
 
 class Stage(enum.Enum):
     """Where an ensemble's spins are: the three states the pulse sequence visits."""
@@ -81,7 +81,7 @@ def gz_whiten(ensemble: SpinEnsemble) -> tuple[SpinEnsemble, float]:
     gradient pulse cannot whiten longitudinal spins.
     """
     if ensemble.stage is Stage.LONGITUDINAL:
-        raise NotTransverse("gz_whiten requires every spin in the transverse plane")
+        raise OutOfRange("gz_whiten requires every spin in the transverse plane")
     gamma0 = rng.uniform01(rng.mix(ensemble.seed, 0))
     return replace(ensemble, stage=Stage.WHITENED), gamma0
 

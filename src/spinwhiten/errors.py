@@ -1,7 +1,12 @@
 """Exception types shared across the simulator.
 
 Every error raised by the public API derives from SpinWhitenError so callers
-can catch domain failures without masking programming errors.
+can catch domain failures without masking programming errors. A class exists
+only where some caller tells it apart: the command line maps ProtocolError
+and QubitCountExceeded to one exit code and the base class to another,
+PulseSyntaxError and ProtocolError carry the line (and column) of the
+offending statement, and OutOfRange is also a ValueError. Every other
+failure is an OutOfRange whose message says what was refused.
 """
 
 
@@ -9,70 +14,12 @@ class SpinWhitenError(Exception):
     """Base class for all simulator errors."""
 
 
-# --- quantum register -------------------------------------------------------
-
-class IndexOutOfRange(SpinWhitenError):
-    """Basis index does not fit the register size."""
-
-
 class QubitCountExceeded(SpinWhitenError):
     """Requested register is larger than the configured maximum."""
 
 
-class InvalidQubitIndex(SpinWhitenError):
-    """Gate references a qubit outside the register."""
-
-
-class QubitCountMismatch(SpinWhitenError):
-    """Circuit and state disagree on register size."""
-
-
-class OracleScaleExceeded(SpinWhitenError):
-    """Dense-matrix oracle requested beyond its size guard."""
-
-
-# --- spin ensemble ----------------------------------------------------------
-
-class NotTransverse(SpinWhitenError):
-    """Operation requires every spin in the transverse plane."""
-
-
-# --- signal path ------------------------------------------------------------
-
-class NotPowerOfTwo(SpinWhitenError):
-    """Trace length must be an exact power of two."""
-
-
-class LineAboveNyquist(SpinWhitenError):
-    """Spectral line frequency exceeds the Nyquist limit of the trace."""
-
-
-class LengthMismatch(SpinWhitenError):
-    """Traces to be combined differ in length or dwell time."""
-
-
-class EmptyInput(SpinWhitenError):
-    """At least one trace is required."""
-
-
-class WindowOverlap(SpinWhitenError):
-    """Peak and noise windows must be disjoint."""
-
-
-class EmptyWindow(SpinWhitenError):
-    """A bin window must select at least one bin."""
-
-
-class ZeroNoiseFloor(SpinWhitenError):
-    """Noise window RMS is indistinguishable from zero."""
-
-
 class OutOfRange(SpinWhitenError, ValueError):
-    """Numeric argument or result outside its documented range."""
-
-
-class MalformedInput(SpinWhitenError):
-    """Option value, config line or input file that cannot be parsed."""
+    """Argument, state or result the operation does not accept."""
 
 
 # --- pulse-program DSL ------------------------------------------------------

@@ -16,7 +16,7 @@ import functools
 
 import numpy as np
 
-from .errors import NotPowerOfTwo
+from .errors import OutOfRange
 from .qft import qft_circuit
 from .statevector import Schedule, compile_circuit, memory_index
 
@@ -30,7 +30,7 @@ def bit_reverse_indices(n: int) -> np.ndarray:
     memory index of each natural index in a register whose qubit order is
     reversed."""
     if not is_power_of_two(n):
-        raise NotPowerOfTwo(f"length {n} is not a power of two")
+        raise OutOfRange(f"length {n} is not a power of two")
     return memory_index(tuple(reversed(range(n.bit_length() - 1))))
 
 
@@ -46,7 +46,7 @@ def _schedule(bits: int, inverse: bool) -> Schedule:
 def _transform(x: np.ndarray, inverse: bool) -> np.ndarray:
     length = len(x)
     if not is_power_of_two(length):
-        raise NotPowerOfTwo(f"length {length} is not a power of two")
+        raise OutOfRange(f"length {length} is not a power of two")
     # the schedule first: it refuses more than 2**30 points before any array
     # of the input's size is made
     schedule = _schedule(length.bit_length() - 1, inverse)

@@ -102,6 +102,9 @@ _ECHO_CHARS = 40  # messages echo at most this much of an offending token
 # `check` refuses an acquire of more shots: shots cost time, not memory, and
 # 2**32 of them take about 2.5 minutes at 3e7 shots/s.
 MAX_SHOTS = 1 << 32
+# `execute` refuses a larger ensemble: a receiver sum costs about 15 ms per
+# 10**6 spins, so one over 2**32 spins takes about a minute.
+MAX_SPINS = 1 << 32
 
 GRAMMAR: dict[str, tuple[type, tuple[tuple[str, str], ...]]] = {
     "pulse90": (Pulse90, (("target name", NAME),)),
@@ -307,7 +310,9 @@ def execute(
     master_seed: int,
     max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> RunReport:
-    """Run a program after `check(program, max_qubits)` passes.
+    """Run a program after `check(program, max_qubits)` passes; an
+    ensemble_size outside [1, MAX_SPINS] raises OutOfRange before any
+    statement runs.
 
     Per-statement semantics: pulse90/whiten act on the named target ensemble
     (created on first pulse90 with a seed derived from the master seed unless
@@ -319,6 +324,8 @@ def execute(
     check(program, max_qubits)
     if ensemble_size < 1:
         raise OutOfRange(f"ensemble size must be >= 1, got {ensemble_size}")
+    if ensemble_size > MAX_SPINS:
+        raise OutOfRange(f"ensemble size {ensemble_size} exceeds the limit of {MAX_SPINS}")
     ensembles: dict[str, SpinEnsemble] = {}
     registers: dict[str, StateVector] = {}
     receiver: dict[str, dict[str, float]] = {}

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import OracleScaleExceeded, OutOfRange, QubitCountExceeded
+from .errors import OutOfRange, QubitCountExceeded
 from .rng import phasor_factors
 from .statevector import (
     ABSOLUTE_MAX_QUBITS,
@@ -56,7 +56,7 @@ def qft_circuit(n: int, inverse: bool = False) -> Circuit:
 def dft_matrix(n: int) -> np.ndarray:
     """Unitary DFT matrix: entry (y, x) = 2^{-n/2} exp(2*pi*i*x*y / 2^n)."""
     if n > ORACLE_MAX_QUBITS:
-        raise OracleScaleExceeded(
+        raise OutOfRange(
             f"dft_matrix limited to {ORACLE_MAX_QUBITS} qubits, got {n}"
         )
     if n < 1:

@@ -23,16 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fourier, rng
-from .errors import (
-    EmptyInput,
-    EmptyWindow,
-    LengthMismatch,
-    LineAboveNyquist,
-    NotPowerOfTwo,
-    OutOfRange,
-    WindowOverlap,
-    ZeroNoiseFloor,
-)
+from .errors import OutOfRange
 
 
 @dataclass
@@ -44,7 +35,7 @@ class FidTrace:
 
     def __post_init__(self):
         if not fourier.is_power_of_two(len(self.samples)) or len(self.samples) < 2:
-            raise NotPowerOfTwo(f"trace length {len(self.samples)} is not a power of two >= 2")
+            raise OutOfRange(f"trace length {len(self.samples)} is not a power of two >= 2")
         _check_dwell(self.dwell_s)
 
 
@@ -116,7 +107,7 @@ def synth_fid(
     stream of `seed`, the imaginary parts draws L .. 2L-1.
     """
     if not fourier.is_power_of_two(length) or length < 2:
-        raise NotPowerOfTwo(f"trace length {length} is not a power of two >= 2")
+        raise OutOfRange(f"trace length {length} is not a power of two >= 2")
     _check_noise_sigma(noise_sigma)
     _check_dwell(dwell_s)
     nyquist = 0.5 / dwell_s
@@ -124,7 +115,7 @@ def synth_fid(
     samples = np.zeros(length, dtype=np.complex128)
     for line in lines:
         if abs(line.freq_hz) >= nyquist:
-            raise LineAboveNyquist(
+            raise OutOfRange(
                 f"line at {line.freq_hz} Hz is not below Nyquist {nyquist} Hz"
             )
         decay = np.exp(-t / line.t2_s)  # exactly 1.0 for T2 = inf
@@ -157,7 +148,7 @@ def cat_average(shots: Iterable[np.ndarray], dwell_s: float) -> FidTrace:
         if stack is None:
             stack = np.zeros((len(rows) + 1, rows.shape[1]), dtype=np.clongdouble)
         elif rows.shape[1] != stack.shape[1]:
-            raise LengthMismatch("all shots must share one length")
+            raise OutOfRange("all shots must share one length")
         elif len(rows) >= len(stack):
             stack = np.concatenate([stack[:1], np.empty_like(rows, dtype=np.clongdouble)])
         part = stack[:len(rows) + 1]  # row 0 holds the running sum
@@ -166,7 +157,7 @@ def cat_average(shots: Iterable[np.ndarray], dwell_s: float) -> FidTrace:
         stack[0] = part[-1]
         count += len(rows)
     if not count:
-        raise EmptyInput("cat_average needs at least one trace")
+        raise OutOfRange("cat_average needs at least one trace")
     return FidTrace((stack[0] / count).astype(np.complex128), dwell_s)
 
 
@@ -179,19 +170,19 @@ def estimate_snr(
 
     Windows are half-open bin ranges [start, stop); they must be non-empty,
     inside the spectrum, and disjoint. A peak or noise RMS that is not finite
-    (the spectrum overflowed) raises OutOfRange. A noise RMS at or below
-    64 eps of the peak (about 1.4e-14) raises ZeroNoiseFloor: the transform's
-    own rounding leaves about 3e-16 of the peak in every bin, so such a floor
+    (the spectrum overflowed) raises OutOfRange, and so does a noise RMS at
+    or below 64 eps of the peak (about 1.4e-14): the transform's own
+    rounding leaves about 3e-16 of the peak in every bin, so such a floor
     measures rounding, not noise.
     """
     mags = np.abs(spectrum.bins)
     for name, (start, stop) in (("peak", peak_window), ("noise", noise_window)):
         if stop <= start:
-            raise EmptyWindow(f"{name} window [{start}, {stop}) is empty")
+            raise OutOfRange(f"{name} window [{start}, {stop}) is empty")
         if start < 0 or stop > len(mags):
             raise OutOfRange(f"{name} window [{start}, {stop}) outside spectrum")
     if peak_window[0] < noise_window[1] and noise_window[0] < peak_window[1]:
-        raise WindowOverlap(f"windows {peak_window} and {noise_window} overlap")
+        raise OutOfRange(f"windows {peak_window} and {noise_window} overlap")
     peak_mag = float(mags[peak_window[0]:peak_window[1]].max())
     noise_bins = mags[noise_window[0]:noise_window[1]]
     exponent = math.frexp(float(noise_bins.max()))[1]  # scaled squares cannot overflow
@@ -199,8 +190,8 @@ def estimate_snr(
     if not (math.isfinite(peak_mag) and math.isfinite(noise_rms)):
         raise OutOfRange(f"SNR not finite: peak {peak_mag:g}, noise RMS {noise_rms:g}")
     if noise_rms <= 64 * np.finfo(np.float64).eps * peak_mag:
-        raise ZeroNoiseFloor(f"noise window RMS {noise_rms:g} is rounding error "
-                             f"of the peak {peak_mag:g}, not noise")
+        raise OutOfRange(f"noise window RMS {noise_rms:g} is rounding error "
+                         f"of the peak {peak_mag:g}, not noise")
     return SnrReport(peak_mag, noise_rms, peak_mag / noise_rms)
 
 
@@ -214,7 +205,7 @@ class SpinBudget:
 
     def __post_init__(self):
         if not self.stages:
-            raise EmptyInput("budget needs at least one stage")
+            raise OutOfRange("budget needs at least one stage")
 
 
 @dataclass(frozen=True)

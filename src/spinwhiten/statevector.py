@@ -7,10 +7,10 @@ register records which qubit each memory axis holds: reshaped to
 significant bit of the basis index. No Kronecker product is ever
 materialized outside the dense-matrix oracle.
 
-The gate set is the Fourier-transform kit: Hadamard, phase shift, controlled
-phase and swap. Phase gates carry a positive integer order m (the applied
-phase is exp(+-2*pi*i / 2**m)) plus a dagger flag selecting the conjugate,
-which is what an inverse transform needs while keeping m positive.
+The gate set is the Fourier-transform kit: Hadamard, controlled phase and
+swap. Phase gates carry a positive integer order m (the applied phase is
+exp(+-2*pi*i / 2**m)) plus a dagger flag selecting the conjugate, which is
+what an inverse transform needs while keeping m positive.
 
 `Circuit` keeps the gate list as written; every register operation runs it
 through `compile_circuit`, which turns it, for the register's current order,
@@ -40,9 +40,8 @@ gate-by-gate sweep, at the level of 1e-16 per amplitude.
 Readout restores natural order once. The map from natural to memory index
 moves each bit on its own, so it splits into two tables of at most
 2**ceil(n / 2) entries over the high and low halves of the index
-(`index_tables`); `probabilities`, `dense_matrix`,
-`StateVector.natural_amps` and `qft.concentration_sweep` all gather through
-them.
+(`index_tables`); `probabilities`, `dense_matrix` and
+`qft.concentration_sweep` all gather through them.
 """
 
 from __future__ import annotations
@@ -53,14 +52,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    IndexOutOfRange,
-    InvalidQubitIndex,
-    OracleScaleExceeded,
-    OutOfRange,
-    QubitCountExceeded,
-    QubitCountMismatch,
-)
+from .errors import OutOfRange, QubitCountExceeded
 
 DEFAULT_MAX_QUBITS = 24  # ~256 MB; config max_qubits raises it up to ABSOLUTE_MAX_QUBITS
 ABSOLUTE_MAX_QUBITS = 30  # hard ceiling for any configuration
@@ -71,7 +63,6 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 class GateKind(enum.Enum):
     HADAMARD = "h"
-    PHASE_SHIFT = "p"
     CONTROLLED_PHASE = "cp"
     SWAP = "swap"
 
@@ -94,18 +85,12 @@ class GateOp:
         return cls(GateKind.HADAMARD, (q,))
 
     @classmethod
-    def phase_shift(cls, q: int, order: int, dagger: bool = False) -> "GateOp":
-        _check_qubit_args(q)
-        _check_order(order)
-        return cls(GateKind.PHASE_SHIFT, (q,), order, dagger)
-
-    @classmethod
     def controlled_phase(
         cls, control: int, target: int, order: int, dagger: bool = False
     ) -> "GateOp":
         _check_qubit_args(control, target)
         if control == target:
-            raise InvalidQubitIndex("control and target must differ")
+            raise OutOfRange("control and target must differ")
         _check_order(order)
         return cls(GateKind.CONTROLLED_PHASE, (control, target), order, dagger)
 
@@ -113,7 +98,7 @@ class GateOp:
     def swap(cls, q1: int, q2: int) -> "GateOp":
         _check_qubit_args(q1, q2)
         if q1 == q2:
-            raise InvalidQubitIndex("swap qubits must differ")
+            raise OutOfRange("swap qubits must differ")
         return cls(GateKind.SWAP, (q1, q2))
 
     def phase(self) -> complex:
@@ -125,7 +110,7 @@ class GateOp:
 def _check_qubit_args(*qubits: int) -> None:
     for q in qubits:
         if q < 0:
-            raise InvalidQubitIndex(f"qubit index must be >= 0, got {q}")
+            raise OutOfRange(f"qubit index must be >= 0, got {q}")
 
 
 def _check_order(order: int) -> None:
@@ -146,7 +131,7 @@ class Circuit:
         for gate in self.gates:
             for q in gate.qubits:
                 if q >= self.num_qubits:
-                    raise InvalidQubitIndex(
+                    raise OutOfRange(
                         f"gate {gate.kind.value} uses qubit {q} "
                         f"in a {self.num_qubits}-qubit circuit"
                     )
@@ -169,23 +154,6 @@ class StateVector:
     def __post_init__(self):
         if not self.order:
             self.order = tuple(range(self.num_qubits))
-
-    def natural_amps(self) -> np.ndarray:
-        """Amplitudes in natural order, a new array: entry x is the amplitude
-        of basis state |x>, qubit 0 its most significant bit."""
-        return self.amps[memory_index(self.order)]
-
-
-def new_state(n: int, basis_index: int = 0) -> StateVector:
-    """Computational basis state |basis_index> of an n-qubit register."""
-    if n < 1 or n > DEFAULT_MAX_QUBITS:
-        raise QubitCountExceeded(f"qubit count {n} outside [1, {DEFAULT_MAX_QUBITS}]")
-    dim = 1 << n
-    if not 0 <= basis_index < dim:
-        raise IndexOutOfRange(f"basis index {basis_index} outside [0, {dim})")
-    amps = np.zeros(dim, dtype=np.complex128)
-    amps[basis_index] = 1.0
-    return StateVector(n, amps)
 
 
 # --- the register engine -----------------------------------------------------
@@ -429,7 +397,7 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     return it: the steps rewrite `state.amps`, and the swaps only its
     order."""
     if circuit.num_qubits != state.num_qubits:
-        raise QubitCountMismatch(
+        raise OutOfRange(
             f"circuit has {circuit.num_qubits} qubits, state has {state.num_qubits}"
         )
     schedule, order = compile_circuit(circuit, state.order)
@@ -465,7 +433,7 @@ def dense_matrix(circuit: Circuit) -> np.ndarray:
     """
     n = circuit.num_qubits
     if n > ORACLE_MAX_QUBITS:
-        raise OracleScaleExceeded(
+        raise OutOfRange(
             f"dense matrix limited to {ORACLE_MAX_QUBITS} qubits, got {n}"
         )
     # Row b of the block is the basis state |b>; after the steps, row b holds

@@ -7,9 +7,11 @@ per spin and sums exactly, nothing shared with the table-and-polynomial
 kernel; gate matrices are Kronecker products of 2x2 blocks, nothing shared
 with the compiled window unitaries, phase tables or qubit order, and the
 state oracle applies the same gates one at a time by index arithmetic on a
-flat vector; the phase-estimation distribution is the closed form, not a
-simulation; the averaging study is built shot by shot from `synth_fid`, one
-trace per shot, not from the batched shot blocks.
+flat vector; a register reads out in natural order by a transpose of its
+memory axes, not through the engine's index tables; the phase-estimation
+distribution is the closed form, not a simulation; the averaging study is
+built shot by shot from `synth_fid`, one trace per shot, not from the
+batched shot blocks.
 """
 
 import math
@@ -69,8 +71,6 @@ def gate_matrix(gate, n: int) -> np.ndarray:
     sign = -1 if gate.dagger else 1
     phase = complex(math.cos(2 * math.pi / 2**gate.order),
                     sign * math.sin(2 * math.pi / 2**gate.order))
-    if kind == "p":
-        return _kron_chain(n, {gate.qubits[0]: np.diag([1, phase])})
     a, b = gate.qubits
     if kind == "cp":
         both_set = _kron_chain(n, {a: _UNIT[1][1], b: _UNIT[1][1]})
@@ -78,6 +78,23 @@ def gate_matrix(gate, n: int) -> np.ndarray:
     assert kind == "swap"
     return sum(_kron_chain(n, {a: _UNIT[i][j], b: _UNIT[j][i]})
                for i in range(2) for j in range(2))
+
+
+def basis_state(n: int, k: int):
+    """Register of n qubits in natural order holding the basis state |k>."""
+    from spinwhiten.statevector import StateVector
+
+    amps = np.zeros(1 << n, dtype=np.complex128)
+    amps[k] = 1.0
+    return StateVector(n, amps)
+
+
+def natural_amps(state) -> np.ndarray:
+    """A register's amplitudes in natural order, as a new array: its memory
+    axes transposed into qubit order, not gathered through the engine's
+    index tables."""
+    n = state.num_qubits
+    return state.amps.reshape([2] * n).transpose(np.argsort(state.order)).flatten()
 
 
 def circuit_matrix(circuit) -> np.ndarray:

@@ -355,48 +355,68 @@ class TestOwnUsageErrors:
         pytest.param(("run", "long.pp"), {"long.pp": b"pulse90 t\nwhiten t seed=" + b"7" * 5000},
                      "long.pp:line 2, column 10: integer seed too long (5000 digits)",
                      id="dsl-int-5000-digits"),
+        # 10**19 spins would take years of receiver sums; both routes refuse
+        # them before any statement runs
+        pytest.param(("run", "demo.pp", "--ensemble-size", str(10**19)),
+                     {"demo.pp": CANONICAL.encode()},
+                     "ensemble size 10000000000000000000 exceeds the limit of 4294967296",
+                     id="ensemble-size-flag"),
+        pytest.param(("run", "demo.pp"),
+                     {"demo.pp": CANONICAL.encode(),
+                      "spinwhiten.conf": b"default_ensemble_size=10000000000000000000\n"},
+                     "ensemble size 10000000000000000000 exceeds the limit of 4294967296",
+                     id="ensemble-size-config"),
     ])
     def test_one_error_line(self, tmp_path, args, files, message):
         for name, content in files.items():
             (tmp_path / name).write_bytes(content)
-        result = run_cli(*args, cwd=tmp_path)
+        result = run_cli(*args, cwd=tmp_path, timeout=60)
         assert result.returncode == 2
         assert len(result.stderr.splitlines()) == 1
         assert result.stderr.startswith(f"Error: {message}")
         assert result.stdout == ""
 
 
+OUT_OF_MEMORY = "out of memory"
+
+
 class TestOversizedRequest:
     """A request whose first large array exceeds the 2**47-byte user address
     space, which no allocator can grant, exits 2 with one Error line instead
     of a MemoryError traceback; so does a size above sys.maxsize // 16, which
-    numpy cannot index at all and the CLI refuses before allocating. (`run`
-    has no such request: its shots are drawn in blocks of fixed size.)"""
+    numpy cannot index at all and the CLI refuses before allocating. A `cat`
+    of more than 2**32 shots in all is refused as too much work before any
+    shot is drawn. (`run` has no such request: its shots are drawn in blocks
+    of fixed size.)"""
 
-    @pytest.mark.parametrize("args", [
-        pytest.param(("peak-sweep", "--qubits", "4", "--grid", str(10**14)),
+    @pytest.mark.parametrize("args,refusal", [
+        pytest.param(("peak-sweep", "--qubits", "4", "--grid", str(10**14)), OUT_OF_MEMORY,
                      id="sweep-grid"),  # 8e14 B of grid
         pytest.param(("cat", "--n-list", str(10**14), "--seeds", "1"),
-                     id="cat-shots"),  # 8e14 B of shot seeds
+                     "100000000000000 shots (--seeds times the --n-list total) "
+                     "exceed the limit of 4294967296", id="cat-shots"),
+        pytest.param(("cat", "--n-list", "1", "--seeds", str(10**19)),
+                     "10000000000000000000 shots (--seeds times the --n-list total) "
+                     "exceed the limit of 4294967296", id="cat-seeds"),
         pytest.param(("cat", "--length", str(1 << 45), "--n-list", "1", "--seeds", "1"),
-                     id="cat-length"),  # 2**48 B
-        pytest.param(("cat", "--n-list", str(10**19), "--seeds", "1"),
+                     OUT_OF_MEMORY, id="cat-length"),  # 2**48 B
+        pytest.param(("cat", "--n-list", str(10**19), "--seeds", "1"), OUT_OF_MEMORY,
                      id="cat-shots-above-int64"),
-        pytest.param(("peak-sweep", "--qubits", "4", "--grid", str(10**19)),
+        pytest.param(("peak-sweep", "--qubits", "4", "--grid", str(10**19)), OUT_OF_MEMORY,
                      id="sweep-grid-above-int64"),
         pytest.param(("cat", "--length", str(1 << 62), "--n-list", "1", "--seeds", "1"),
-                     id="cat-length-above-intp-bytes"),
-        pytest.param(("cat", "--n-list", str(1 << 61), "--seeds", "1"),
+                     OUT_OF_MEMORY, id="cat-length-above-intp-bytes"),
+        pytest.param(("cat", "--n-list", str(1 << 61), "--seeds", "1"), OUT_OF_MEMORY,
                      id="cat-shots-above-intp-bytes"),
-        pytest.param(("peak-sweep", "--qubits", "4", "--grid", str(1 << 61)),
+        pytest.param(("peak-sweep", "--qubits", "4", "--grid", str(1 << 61)), OUT_OF_MEMORY,
                      id="sweep-grid-above-intp-bytes"),
     ])
-    def test_exits_two_with_one_error_line(self, tmp_path, args):
-        result = run_cli(*args, cwd=tmp_path)
+    def test_exits_two_with_one_error_line(self, tmp_path, args, refusal):
+        result = run_cli(*args, cwd=tmp_path, timeout=60)
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
         assert len(result.stderr.splitlines()) == 1
-        assert result.stderr.startswith("Error: out of memory")
+        assert result.stderr.startswith(f"Error: {refusal}")
         assert result.stdout == ""
 
 

@@ -52,7 +52,7 @@ class TestPulse90:
 
 class TestGzWhiten:
     def test_requires_transverse(self):
-        with pytest.raises(errors.NotTransverse):
+        with pytest.raises(errors.OutOfRange, match="requires every spin in the transverse plane"):
             gz_whiten(SpinEnsemble.longitudinal(4, seed=0))
 
     def test_deterministic_per_seed(self):

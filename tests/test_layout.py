@@ -2,7 +2,8 @@
 
 Modules reach each other only through public names, and `import spinwhiten`
 binds its modules and `__version__`, not a second name for any function or
-class.
+class. Every public function, class and method is used somewhere in the
+package, and no module imports a name it does not use.
 """
 
 import ast
@@ -75,3 +76,88 @@ def test_package_binds_only_modules_and_version():
     # every module but the command line is reachable from the bare import
     assert SIBLINGS - {"__init__", "__main__", "cli"} <= set(ast.literal_eval(modules))
     assert int(seed) == seed_for_gamma(0.5)
+
+
+# Public names that the package itself does not call: the library API that
+# the acceptance tests call. Click commands are called by click.
+LIBRARY_API = ("fft_inverse", "enhancement_report", "format_program", "seed_for_gamma")
+
+
+def _click_command(node: ast.AST) -> bool:
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr in ("command", "group") for d in node.decorator_list)
+
+
+def _public_definitions(tree: ast.Module) -> list[str]:
+    """Public top-level functions and classes and the public methods of
+    top-level classes, click commands left out."""
+    found = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        found.append(node)
+        if isinstance(node, ast.ClassDef):
+            found += [item for item in node.body if isinstance(item, ast.FunctionDef)]
+    return [node.name for node in found
+            if not node.name.startswith("_") and not _click_command(node)]
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    """Every name the tree loads, reads as an attribute or imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def _unused_public_names(trees: list[ast.Module]) -> list[str]:
+    used = set().union(*map(_referenced_names, trees))
+    return sorted(name for tree in trees for name in _public_definitions(tree)
+                  if name not in used and name not in LIBRARY_API)
+
+
+def test_every_public_name_is_used_in_the_package():
+    trees = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in SOURCES]
+    assert _unused_public_names(trees) == []
+
+
+def test_the_check_sees_unused_public_names():
+    trees = [ast.parse("class A:\n    def m(self): pass\n    def n(self): pass\n"
+                       "def f(): pass\ndef _g(): pass\n"
+                       "@main.command('x')\ndef cmd(): pass\n"),
+             ast.parse("from .a import A\nA().n()\n")]
+    assert _unused_public_names(trees) == ["f", "m"]
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names an import binds that the module never loads."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, alias.asname or alias.name.split(".")[0])
+                      for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(node.lineno, alias.asname or alias.name) for alias in node.names]
+    loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{line}: {name}" for line, name in bound if name not in loaded]
+
+
+# The package's __init__ imports for effect: numpy under one BLAS thread, and
+# the modules as attributes of the package.
+@pytest.mark.parametrize("path", [path for path in SOURCES if path.name != "__init__.py"],
+                         ids=lambda path: path.name)
+def test_no_module_imports_a_name_it_does_not_use(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _unused_imports(tree) == []
+
+
+def test_the_check_sees_unused_imports():
+    tree = ast.parse("import os.path\nfrom . import rng as r\nfrom .errors import A, B\n"
+                     "r.words(B)\n")
+    assert _unused_imports(tree) == ["1: os", "3: A"]

@@ -1,4 +1,4 @@
-"""Statevector register: basis states, the gate engine, dense-matrix oracle."""
+"""Statevector register: the gate engine, readout and the dense-matrix oracle."""
 
 import math
 import subprocess
@@ -21,12 +21,11 @@ from spinwhiten.statevector import (
     compile_circuit,
     dense_matrix,
     memory_index,
-    new_state,
     probabilities,
 )
 
 from conftest import subprocess_env
-from oracles import apply_gates_by_index, circuit_matrix
+from oracles import apply_gates_by_index, basis_state, circuit_matrix, natural_amps
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -54,116 +53,93 @@ def narrow_windows(monkeypatch):
     compile_circuit.cache_clear()
 
 
-class TestNewState:
-    def test_one_qubit_ground(self):
-        assert new_state(1, 0).amps.tolist() == [1, 0]
-
-    def test_two_qubit_basis_three(self):
-        assert new_state(2, 3).amps.tolist() == [0, 0, 0, 1]
-
-    def test_index_out_of_range(self):
-        with pytest.raises(errors.IndexOutOfRange):
-            new_state(2, 4)
-
-    def test_qubit_count_exceeded(self):
-        with pytest.raises(errors.QubitCountExceeded):
-            new_state(25, 0)
-        with pytest.raises(errors.QubitCountExceeded):
-            new_state(0, 0)
-
-
 class TestApplyGate:
     def test_hadamard_on_zero(self):
-        out = _apply_one(new_state(1, 0), GateOp.hadamard(0))
-        np.testing.assert_allclose(out.natural_amps(), [INV_SQRT2, INV_SQRT2], atol=1e-15)
+        out = _apply_one(basis_state(1, 0), GateOp.hadamard(0))
+        np.testing.assert_allclose(natural_amps(out), [INV_SQRT2, INV_SQRT2], atol=1e-15)
 
     def test_hadamard_on_one(self):
-        out = _apply_one(new_state(1, 1), GateOp.hadamard(0))
-        np.testing.assert_allclose(out.natural_amps(), [INV_SQRT2, -INV_SQRT2], atol=1e-15)
+        out = _apply_one(basis_state(1, 1), GateOp.hadamard(0))
+        np.testing.assert_allclose(natural_amps(out), [INV_SQRT2, -INV_SQRT2], atol=1e-15)
 
     def test_hadamard_is_involution(self):
         rng = np.random.default_rng(11)
         amps = rng.normal(size=2) + 1j * rng.normal(size=2)
         amps /= np.linalg.norm(amps)
-        state = new_state(1, 0)
+        state = basis_state(1, 0)
         state.amps[:] = amps
         twice = _apply_one(_apply_one(state, GateOp.hadamard(0)), GateOp.hadamard(0))
-        np.testing.assert_allclose(twice.natural_amps(), amps, atol=1e-12)
+        np.testing.assert_allclose(natural_amps(twice), amps, atol=1e-12)
 
     def test_controlled_phase_order_one_flips_sign_of_11(self):
-        out = _apply_one(new_state(2, 3), GateOp.controlled_phase(0, 1, order=1))
-        np.testing.assert_allclose(out.natural_amps(), [0, 0, 0, -1], atol=1e-15)
+        out = _apply_one(basis_state(2, 3), GateOp.controlled_phase(0, 1, order=1))
+        np.testing.assert_allclose(natural_amps(out), [0, 0, 0, -1], atol=1e-15)
 
     def test_controlled_phase_leaves_other_basis_states(self):
         for idx in (0, 1, 2):
-            out = _apply_one(new_state(2, idx), GateOp.controlled_phase(0, 1, order=1))
-            np.testing.assert_allclose(out.natural_amps(), new_state(2, idx).amps, atol=1e-15)
+            out = _apply_one(basis_state(2, idx), GateOp.controlled_phase(0, 1, order=1))
+            np.testing.assert_allclose(natural_amps(out), basis_state(2, idx).amps, atol=1e-15)
 
     def test_controlled_phase_dagger_conjugates(self):
         gate = GateOp.controlled_phase(0, 1, order=3)
         dag = GateOp.controlled_phase(0, 1, order=3, dagger=True)
-        state = _apply_one(new_state(2, 3), gate)
+        state = _apply_one(basis_state(2, 3), gate)
         np.testing.assert_allclose(
-            _apply_one(state, dag).natural_amps(), new_state(2, 3).amps, atol=1e-15
+            natural_amps(_apply_one(state, dag)), basis_state(2, 3).amps, atol=1e-15
         )
-
-    def test_phase_shift_targets_one_component(self):
-        state = _apply_one(new_state(1, 0), GateOp.hadamard(0))
-        out = _apply_one(state, GateOp.phase_shift(0, order=2))
-        np.testing.assert_allclose(out.natural_amps(), [INV_SQRT2, 1j * INV_SQRT2], atol=1e-15)
 
     def test_swap_exchanges_bits(self):
         # qubit 0 is the MSB: |01> = index 1 maps to |10> = index 2
-        out = _apply_one(new_state(2, 1), GateOp.swap(0, 1))
-        np.testing.assert_allclose(out.natural_amps(), new_state(2, 2).amps, atol=1e-15)
+        out = _apply_one(basis_state(2, 1), GateOp.swap(0, 1))
+        np.testing.assert_allclose(natural_amps(out), basis_state(2, 2).amps, atol=1e-15)
         # the swap moved no amplitude, only the order
         assert out.amps.tolist() == [0, 1, 0, 0]
         assert out.order == (1, 0)
 
     def test_qubit0_is_most_significant(self):
-        out = _apply_one(new_state(2, 0), GateOp.hadamard(0))
-        np.testing.assert_allclose(out.natural_amps(), [INV_SQRT2, 0, INV_SQRT2, 0],
+        out = _apply_one(basis_state(2, 0), GateOp.hadamard(0))
+        np.testing.assert_allclose(natural_amps(out), [INV_SQRT2, 0, INV_SQRT2, 0],
                                    atol=1e-15)
 
     def test_runs_in_place(self):
-        state = new_state(1, 0)
+        state = basis_state(1, 0)
         amps = state.amps
         out = _apply_one(state, GateOp.hadamard(0))
         assert out is state and out.amps is amps
         np.testing.assert_allclose(amps, [INV_SQRT2, INV_SQRT2], atol=1e-15)
 
     def test_invalid_qubit_index(self):
-        with pytest.raises(errors.InvalidQubitIndex):
-            _apply_one(new_state(2, 0), GateOp.hadamard(2))
+        with pytest.raises(errors.OutOfRange, match="uses qubit 2 in a 2-qubit circuit"):
+            _apply_one(basis_state(2, 0), GateOp.hadamard(2))
 
     def test_gate_factory_validation(self):
-        with pytest.raises(errors.InvalidQubitIndex):
+        with pytest.raises(errors.OutOfRange, match="control and target must differ"):
             GateOp.controlled_phase(1, 1, order=2)
-        with pytest.raises(errors.InvalidQubitIndex):
+        with pytest.raises(errors.OutOfRange, match="swap qubits must differ"):
             GateOp.swap(0, 0)
-        with pytest.raises(errors.InvalidQubitIndex):
+        with pytest.raises(errors.OutOfRange, match="qubit index must be >= 0"):
             GateOp.hadamard(-1)
         with pytest.raises(ValueError):
-            GateOp.phase_shift(0, order=0)
+            GateOp.controlled_phase(0, 1, order=0)
 
 
 class TestApplyCircuit:
     def test_empty_circuit_is_identity(self):
-        out = apply_circuit(new_state(3, 5), Circuit(3))
-        assert np.array_equal(out.amps, new_state(3, 5).amps)
+        out = apply_circuit(basis_state(3, 5), Circuit(3))
+        assert np.array_equal(out.amps, basis_state(3, 5).amps)
         assert out.order == (0, 1, 2)
 
     def test_double_hadamard(self):
         circuit = Circuit(1, (GateOp.hadamard(0), GateOp.hadamard(0)))
-        out = apply_circuit(new_state(1, 0), circuit)
-        np.testing.assert_allclose(out.natural_amps(), [1, 0], atol=1e-12)
+        out = apply_circuit(basis_state(1, 0), circuit)
+        np.testing.assert_allclose(natural_amps(out), [1, 0], atol=1e-12)
 
     def test_qubit_count_mismatch(self):
-        with pytest.raises(errors.QubitCountMismatch):
-            apply_circuit(new_state(2, 0), Circuit(3))
+        with pytest.raises(errors.OutOfRange, match="circuit has 3 qubits, state has 2"):
+            apply_circuit(basis_state(2, 0), Circuit(3))
 
     def test_circuit_validates_gates(self):
-        with pytest.raises(errors.InvalidQubitIndex):
+        with pytest.raises(errors.OutOfRange, match="uses qubit 2 in a 2-qubit circuit"):
             Circuit(2, (GateOp.hadamard(2),))
 
     def test_equal_calls_compile_once_into_read_only_arrays(self):
@@ -185,10 +161,10 @@ class TestApplyCircuit:
 
 class TestProbabilities:
     def test_ground_state(self):
-        assert probabilities(new_state(1, 0)).tolist() == [1, 0]
+        assert probabilities(basis_state(1, 0)).tolist() == [1, 0]
 
     def test_uniform_superposition(self):
-        state = new_state(2, 0)
+        state = basis_state(2, 0)
         for q in range(2):
             state = _apply_one(state, GateOp.hadamard(q))
         np.testing.assert_allclose(probabilities(state), [0.25] * 4, atol=1e-15)
@@ -203,8 +179,8 @@ class TestProbabilities:
         # the gather runs over several tiles
         state = _random_state(n, seed=20 + n)
         state.order = tuple(int(q) for q in np.random.default_rng(n).permutation(n))
-        natural = state.amps.reshape([2] * n).transpose(np.argsort(state.order)).ravel()
-        assert np.array_equal(state.natural_amps(), natural)
+        natural = natural_amps(state)
+        assert np.array_equal(state.amps[memory_index(state.order)], natural)
         assert np.array_equal(probabilities(state), natural.real ** 2 + natural.imag ** 2)
 
 
@@ -222,11 +198,11 @@ class TestDenseMatrix:
         circuit = _random_circuit(3, 12, seed=5)
         matrix = dense_matrix(circuit)
         for x in range(8):
-            column = apply_circuit(new_state(3, x), circuit).natural_amps()
+            column = natural_amps(apply_circuit(basis_state(3, x), circuit))
             np.testing.assert_allclose(matrix[:, x], column, atol=1e-14)
 
     def test_oracle_scale_guard(self):
-        with pytest.raises(errors.OracleScaleExceeded):
+        with pytest.raises(errors.OutOfRange, match="dense matrix limited to 10 qubits"):
             dense_matrix(Circuit(11))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -305,7 +281,7 @@ class TestWindowedEngine:
         circuit = _crossing_circuit(8, 50 + seed)
         state = _random_state(8, seed)
         expected = circuit_matrix(circuit) @ state.amps
-        assert np.abs(apply_circuit(state, circuit).natural_amps() - expected).max() <= 1e-12
+        assert np.abs(natural_amps(apply_circuit(state, circuit)) - expected).max() <= 1e-12
 
     @pytest.mark.parametrize("window", [1, 2, 3])
     def test_diagonal_steps_split_into_runs(self, window, narrow_windows):
@@ -340,14 +316,14 @@ class TestWindowedEngine:
         assert [step.lo for step in schedule.steps] == [0]
         assert out == (7, 1, 2, 0, 4, 5, 6, 3)
         state = _random_state(8, seed=4)
-        expected = circuit_matrix(circuit) @ state.natural_amps()
+        expected = circuit_matrix(circuit) @ natural_amps(state)
         state.order = order
         state.amps[:] = state.amps[np.argsort(memory_index(order))]
-        assert np.abs(apply_circuit(state, circuit).natural_amps() - expected).max() <= 1e-12
+        assert np.abs(natural_amps(apply_circuit(state, circuit)) - expected).max() <= 1e-12
 
     def test_hadamard_free_windows_run_as_phase_tables(self):
         circuit = Circuit(8, (GateOp.controlled_phase(0, 1, order=2),
-                              GateOp.phase_shift(5, order=3, dagger=True),
+                              GateOp.controlled_phase(5, 4, order=3, dagger=True),
                               GateOp.controlled_phase(2, 6, order=4)))
         assert all(isinstance(step, DiagonalStep)
                    for step in compile_circuit(circuit, NATURAL8)[0].steps)
@@ -378,9 +354,10 @@ class TestWindowedEngine:
 
 def _crossing_circuit(n, seed, depth=48):
     """Seeded circuit for n <= 12 (two windows: the first ceil(n/2) qubits and
-    the rest) whose swaps and controlled phases join one qubit of each
-    window, mixed with Hadamards and phase shifts, so swaps fall after other
-    gates and relabel the qubits of later ones."""
+    the rest) whose swaps and crossing controlled phases join one qubit of
+    each window, mixed with Hadamards and controlled phases inside one
+    window, so swaps fall after other gates and relabel the qubits of later
+    ones."""
     rng = np.random.default_rng(seed)
     split = -(-n // 2)
     gates = []
@@ -391,9 +368,10 @@ def _crossing_circuit(n, seed, depth=48):
         kind = int(rng.integers(0, 4))
         if kind == 0:
             gates.append(GateOp.hadamard(a))
-        elif kind == 1:
-            gates.append(GateOp.phase_shift(a, order=int(rng.integers(1, 8)),
-                                            dagger=bool(rng.integers(0, 2))))
+        elif kind == 1:  # a and its neighbour in a's window
+            c = a - 1 if a + 1 in (split, n) else a + 1
+            gates.append(GateOp.controlled_phase(a, c, order=int(rng.integers(1, 8)),
+                                                 dagger=bool(rng.integers(0, 2))))
         elif kind == 2:
             gates.append(GateOp.controlled_phase(a, b, order=int(rng.integers(1, 8)),
                                                  dagger=bool(rng.integers(0, 2))))
@@ -404,10 +382,10 @@ def _crossing_circuit(n, seed, depth=48):
 
 def _phase_run_circuit(n, seed, runs=8):
     """Seeded circuit of controlled-phase runs separated by a Hadamard, swap
-    or phase shift. Every fourth run is a single gate; the others share an
-    inner qubit q (when n > 2) with partners q - 1 and q + 1 first, then
-    random partners that may repeat, each gate with a random order, dagger
-    flag and control/target order."""
+    or controlled phase on a random pair. Every fourth run is a single gate;
+    the others share an inner qubit q (when n > 2) with partners q - 1 and
+    q + 1 first, then random partners that may repeat, each gate with a
+    random order, dagger flag and control/target order."""
     rng = np.random.default_rng(seed)
     gates = []
     for r in range(runs):
@@ -429,9 +407,10 @@ def _phase_run_circuit(n, seed, runs=8):
             a, b = rng.choice(n, size=2, replace=False)
             gates.append(GateOp.swap(int(a), int(b)))
         else:
-            gates.append(GateOp.phase_shift(int(rng.integers(0, n)),
-                                            order=int(rng.integers(1, 8)),
-                                            dagger=bool(rng.integers(0, 2))))
+            a, b = rng.choice(n, size=2, replace=False)
+            gates.append(GateOp.controlled_phase(int(a), int(b),
+                                                 order=int(rng.integers(1, 8)),
+                                                 dagger=bool(rng.integers(0, 2))))
     return Circuit(n, tuple(gates))
 
 
@@ -439,22 +418,19 @@ def _random_state(n, seed):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     amps /= np.linalg.norm(amps)
-    state = new_state(n, 0)
+    state = basis_state(n, 0)
     state.amps[:] = amps
     return state
 
 
 def _random_gate(n, rng):
-    kind = rng.integers(0, 4) if n > 1 else rng.integers(0, 2)
+    kind = rng.integers(0, 3) if n > 1 else 0  # one qubit takes only Hadamards
     q = int(rng.integers(0, n))
     if kind == 0:
         return GateOp.hadamard(q)
-    if kind == 1:
-        return GateOp.phase_shift(q, order=int(rng.integers(1, 6)),
-                                  dagger=bool(rng.integers(0, 2)))
     other = int(rng.integers(0, n - 1))
     other = other if other < q else other + 1
-    if kind == 2:
+    if kind == 1:
         return GateOp.controlled_phase(q, other, order=int(rng.integers(1, 6)),
                                        dagger=bool(rng.integers(0, 2)))
     return GateOp.swap(q, other)
@@ -483,14 +459,14 @@ class TestStateOracleAcrossWindowPairs:
         circuit = _random_circuit(n, 200, seed=80 + n)
         state = _random_state(n, seed=n)
         expected = apply_gates_by_index(circuit, state.amps)
-        assert np.abs(apply_circuit(state, circuit).natural_amps() - expected).max() <= 1e-12
+        assert np.abs(natural_amps(apply_circuit(state, circuit)) - expected).max() <= 1e-12
 
     @pytest.mark.parametrize("n", [13, 16])
     def test_inverse_transform_matches_state_oracle(self, n):
         circuit = qft_circuit(n, inverse=True)
         state = _random_state(n, seed=90 + n)
         expected = apply_gates_by_index(circuit, state.amps)
-        assert np.abs(apply_circuit(state, circuit).natural_amps() - expected).max() <= 1e-12
+        assert np.abs(natural_amps(apply_circuit(state, circuit)) - expected).max() <= 1e-12
 
     @pytest.mark.parametrize("circuit", [
         *(qft_circuit(n, inverse=True) for n in (8, 13, 20, 22, 24)),
