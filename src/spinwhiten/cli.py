@@ -273,7 +273,7 @@ def cmd_cat(cfg: CliConfig, n_list: str, seeds: int, line_spec: str, noise: floa
               help="Stage overrides, e.g. 'boltzmann=-5' or comma list.")
 def cmd_budget(overrides: str | None):
     """Staged spin-population table (decade arithmetic)."""
-    stages = dict(sig.DEFAULT_BUDGET.stages)
+    stages = dict(sig.DEFAULT_STAGES)
     if overrides is not None:
         parts = [part.strip() for part in overrides.split(",") if part.strip()]
         if not parts:
@@ -286,7 +286,7 @@ def cmd_budget(overrides: str | None):
                 stages[key] = int(value)
             except ValueError as exc:
                 raise OutOfRange(f"stage exponent must be integer: {part!r}") from exc
-    chain = sig.spin_budget_chain(sig.SpinBudget(tuple(stages.items())))
+    chain = sig.spin_budget_chain(tuple(stages.items()))
     _echo("stage,cumulative_exponent,population")
     for stage in chain:
         _echo(f"{stage.label},{stage.exponent},{stage.population}")

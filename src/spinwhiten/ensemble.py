@@ -16,9 +16,10 @@ a phasor: the entry of a 2^12-entry table of exp(2*pi*i*j/2^12) picked by
 the top bits of t_k, times a short polynomial in the residual angle (at
 most pi/2^12 rad), the table-driven scheme of Tang (ACM TOMS 1989).
 `rng.phasor_sum` hashes and sums the turns 8192 spins at a time, so
-memory stays flat in M, and `receiver_signal` divides its sum by M. Measured against the explicit cos/sin sum, the mean agrees within
-1.7e-18 over eleven whitened 10^6-spin ensembles, and a freshly pulsed
-ensemble reads exactly 1.
+memory stays flat in M, and `receiver_signal` divides its sum by M.
+Measured against the explicit cos/sin sum, the mean agrees within 1.7e-18
+over eleven whitened 10^6-spin ensembles, and a freshly pulsed ensemble
+reads exactly 1.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from dataclasses import dataclass, replace
 
 from . import rng
 from .errors import OutOfRange
+
 
 class Stage(enum.Enum):
     """Where an ensemble's spins are: the three states the pulse sequence visits."""

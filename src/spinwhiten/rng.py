@@ -17,8 +17,9 @@ ACM TOMS 1989). A hashed word with its low 11 bits cleared is the turn of
 the uniform draw it gives: `normals` takes its Box-Muller cosines from the
 kernel this way, `phasor_sum` (the receiver sum) its whitened phasors, and
 the register's phase encoding its phasors from exact turns of gamma. The
-block loops of `phasor_sum` and `noise_blocks` (cat's noise) allocate their
-buffers once per call, so no other module knows the buffers' layout.
+block loops of `phasor_sum` and `normal_blocks` (the normals of the derived
+streams mix(seed, j), one per row) allocate their buffers once per call, so
+no other module knows the buffers' layout.
 """
 
 from __future__ import annotations
@@ -188,23 +189,19 @@ def normals(
     return row.reshape(shape)
 
 
-def noise_blocks(seeds: np.ndarray, length: int, block: int) -> Iterator[np.ndarray]:
-    """Complex standard normals for a uint64 seed column, `block` streams at a time.
+def normal_blocks(seed: int, count: int, width: int, block: int) -> Iterator[np.ndarray]:
+    """Rows ``normals(mix(seed, j), width)`` for j = 0 .. count-1, `block` at a time.
 
-    Row b of a (b, length) block holds ``normals(seeds[b], 2 * length)``,
-    the first half as its real parts and the second as its imaginary parts.
-    Every block is a complex128 view of one workspace, allocated at full
-    block size once per call (so successive calls reuse one heap block),
+    Each (b, width) block hashes only its own rows' stream seeds, so no array
+    grows with `count`. Every block is a view of one workspace, allocated at
+    full block size once per call (so successive calls reuse one heap block),
     that the next block's one `normals` call overwrites.
     """
-    workspace = np.empty((_NORMAL_BUFFER_ROWS, block * 2 * length))
-    for lo in range(0, len(seeds), block):
-        draws = normals(seeds[lo:lo + block], 2 * length, buffers=workspace)
-        # The draws leave the second row free; the complex block is laid there.
-        noise = workspace[1, :draws.size].view(np.complex128).reshape(len(draws), length)
-        np.copyto(noise.real, draws[:, :length])
-        np.copyto(noise.imag, draws[:, length:])
-        yield noise
+    workspace = np.empty((_NORMAL_BUFFER_ROWS, block * width))
+    seeds, scratch = np.empty((2, block), dtype=np.uint64)
+    for lo in range(0, count, block):
+        rows = _hash_into(seed, lo, 1, seeds[:count - lo], scratch[:count - lo])
+        yield normals(rows[:, None], width, buffers=workspace)
 
 
 def phasor_factors(

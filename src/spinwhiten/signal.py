@@ -4,10 +4,11 @@ Synthesizes free-induction-decay traces from spectral lines plus complex
 Gaussian noise, transforms them with `fourier.fft_forward` (the register
 engine's inverse quantum Fourier transform, scaled by sqrt(L)), averages
 repeated shots (noise falls as sqrt(N)), and measures SNR as spectral peak
-magnitude over the RMS of a signal-free window. Noise comes in blocks from
-`rng.noise_blocks`, scaled here and added to the clean line in place. The
-averaging study synthesizes its clean line once and takes the noise of a
-block of shots from one such block; every shot stays bit-identical to a
+magnitude over the RMS of a signal-free window. One helper turns 2L
+standard normals into a noisy trace, clean + sigma * (real + i * imag): a
+`synth_fid` trace from its seed's `rng.normals`, and the averaging study's
+shots from the rows of `rng.normal_blocks`, written into one block of
+traces reused for every block of shots. Every shot stays bit-identical to a
 `synth_fid` call with that shot's seed, and the average sums the blocks'
 rows in shot order.
 Also carries the spin-budget decade arithmetic and the register-size
@@ -17,7 +18,7 @@ enhancement report.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,15 +82,15 @@ def _check_noise_sigma(noise_sigma: float) -> None:
         raise OutOfRange(f"noise sigma must be finite and >= 0, got {noise_sigma}")
 
 
-def _noisy_shots(clean: np.ndarray, noise_sigma: float, seeds: np.ndarray,
-                 block: int) -> Iterator[np.ndarray]:
-    """clean plus complex Gaussian noise of std noise_sigma per component, one
-    shot per seed, scaled and offset in place in the blocks of `rng.noise_blocks`."""
-    for samples in rng.noise_blocks(seeds, len(clean), block):
-        samples.real *= noise_sigma
-        samples.imag *= noise_sigma
-        samples += clean
-        yield samples
+def _noisy_into(out: np.ndarray, clean: np.ndarray, noise_sigma: float,
+                draws: np.ndarray) -> np.ndarray:
+    """out = clean + noise_sigma * (draws[..., :L] + i * draws[..., L:]) for
+    clean of length L, written into the complex array `out` (not clean itself)."""
+    length = clean.shape[-1]
+    np.multiply(draws[..., :length], noise_sigma, out=out.real)
+    np.multiply(draws[..., length:], noise_sigma, out=out.imag)
+    out += clean
+    return out
 
 
 def synth_fid(
@@ -121,9 +122,8 @@ def synth_fid(
         decay = np.exp(-t / line.t2_s)  # exactly 1.0 for T2 = inf
         samples += line.amp * decay * np.exp(2j * np.pi * line.freq_hz * t)
     if noise_sigma > 0:
-        column = np.array([[seed & rng.MASK64]], dtype=np.uint64)
-        # copied out of rng's workspace, which is several times its size
-        samples = next(_noisy_shots(samples, noise_sigma, column, 1))[0].copy()
+        samples = _noisy_into(np.empty_like(samples), samples, noise_sigma,
+                              rng.normals(seed, 2 * length))
     return FidTrace(samples, dwell_s)
 
 
@@ -198,30 +198,17 @@ def estimate_snr(
 # --- spin budget and enhancement bookkeeping --------------------------------
 
 @dataclass(frozen=True)
-class SpinBudget:
-    """Ordered decade ledger; the first stage is the source population."""
-
-    stages: tuple[tuple[str, int], ...]
-
-    def __post_init__(self):
-        if not self.stages:
-            raise OutOfRange("budget needs at least one stage")
-
-
-@dataclass(frozen=True)
 class BudgetStage:
     label: str
     exponent: int  # cumulative decade exponent at this stage
     population: int | float  # exact int for exponent >= 0
 
 
-DEFAULT_BUDGET = SpinBudget(
-    stages=(
-        ("avogadro", 23),
-        ("sample_tube", -3),
-        ("boltzmann", -6),
-        ("solute", -3),
-    )
+DEFAULT_STAGES = (
+    ("avogadro", 23),
+    ("sample_tube", -3),
+    ("boltzmann", -6),
+    ("solute", -3),
 )
 
 
@@ -231,16 +218,19 @@ DEFAULT_BUDGET = SpinBudget(
 BUDGET_EXPONENT_LIMIT = 300
 
 
-def spin_budget_chain(budget: SpinBudget = DEFAULT_BUDGET) -> list[BudgetStage]:
+def spin_budget_chain(stages: tuple[tuple[str, int], ...] = DEFAULT_STAGES) -> list[BudgetStage]:
     """Running product of decades: stage populations 10^23 -> 10^20 -> ...
 
-    Populations are exact integers whenever the cumulative exponent is
-    non-negative (Python bigints, so 10**23 really is 10**23). A cumulative
-    exponent beyond +-BUDGET_EXPONENT_LIMIT raises OutOfRange.
+    `stages` holds (label, decade) pairs, as in DEFAULT_STAGES. Populations
+    are exact integers whenever the cumulative exponent is non-negative
+    (Python bigints, so 10**23 really is 10**23). No stage, or a cumulative
+    exponent beyond +-BUDGET_EXPONENT_LIMIT, raises OutOfRange.
     """
+    if not stages:
+        raise OutOfRange("budget needs at least one stage")
     chain: list[BudgetStage] = []
     exponent = 0
-    for label, decade in budget.stages:
+    for label, decade in stages:
         exponent += decade
         if abs(exponent) > BUDGET_EXPONENT_LIMIT:
             raise OutOfRange(
@@ -283,13 +273,14 @@ DEFAULT_CAT_NOISE_SIGMA = 1.0
 # Line at 125 Hz lands in bin 32 of 256; windows stay clear of it.
 DEFAULT_PEAK_WINDOW = (30, 35)
 DEFAULT_NOISE_WINDOW = (128, 224)
-# Shots per `rng.noise_blocks` block. rng's workspace for one block, 0.75 MiB
-# for 24 shots of 256 samples, and the `cat_average` stack, 8 KiB per shot,
-# are allocated once per call. Over default `cat` tasks in one process
-# (2-vCPU Xeon, numpy 2.4.6), blocks of 16, 24, 32 and 64 shots came within
-# 6% of each other in CPU time (64 fastest), but raised the peak RSS over
-# that of the per-block allocations they replaced by 0.1, 0.3, 0.8 and
-# 2.3 MB: 24 is the largest of them that adds less than 0.5 MB.
+# Shots per `rng.normal_blocks` block. rng's workspace for one block, 0.75 MiB
+# for 24 shots of 256 samples, the block of noisy traces built here, 96 KiB,
+# and the `cat_average` stack, 8 KiB per shot, are allocated once per call.
+# Over default `cat` tasks in one process (2-vCPU Xeon, numpy 2.4.6), blocks
+# of 16, 24, 32 and 64 shots came within 6% of each other in CPU time (64
+# fastest), but raised the peak RSS over that of the per-block allocations
+# they replaced by 0.1, 0.3, 0.8 and 2.3 MB: 24 is the largest of them that
+# adds less than 0.5 MB.
 _CAT_SHOT_BLOCK = 24
 
 
@@ -306,11 +297,12 @@ def cat_snr(
     Shot j draws its noise from the derived stream mix(seed, j), so any
     (seed, n_shots) pair is reproducible and shots never share noise. Shot j
     is bit-identical to ``synth_fid([line], length, dwell_s, noise_sigma,
-    seed=rng.mix(seed, j))``, but the clean line is synthesized once and the
-    noise of _CAT_SHOT_BLOCK shots comes as one (B, length) block of
-    `rng.noise_blocks`, scaled and offset by the clean line in place, which
-    `cat_average` consumes; no trace object per shot is built, and without
-    noise the shots are the clean line itself. A line whose bin,
+    seed=rng.mix(seed, j))``, but the clean line is synthesized once, and
+    the normals of _CAT_SHOT_BLOCK shots come as one block of
+    `rng.normal_blocks`, turned into noisy traces in one (B, length) array
+    allocated once per call, which `cat_average` consumes. No array grows
+    with n_shots, no trace object per shot is built, and without noise the
+    shots are the clean line itself. A line whose bin,
     round(freq * length * dwell) mod length, misses DEFAULT_PEAK_WINDOW or
     lands in DEFAULT_NOISE_WINDOW raises OutOfRange before any shot is drawn.
     """
@@ -319,8 +311,9 @@ def cat_snr(
     with np.errstate(over="ignore", invalid="ignore"):
         clean = synth_fid([line], length, dwell_s).samples
         _check_line_bin(line, length, dwell_s)
-        seeds = rng.words(seed, n_shots)[:, None]
-        shots = _noisy_shots(clean, noise_sigma, seeds, _CAT_SHOT_BLOCK)
+        traces = np.empty((min(_CAT_SHOT_BLOCK, n_shots), length), dtype=np.complex128)
+        shots = (_noisy_into(traces[:len(draws)], clean, noise_sigma, draws) for draws
+                 in rng.normal_blocks(seed, n_shots, 2 * length, _CAT_SHOT_BLOCK))
         spectrum = fft(cat_average(shots, dwell_s))
         report = estimate_snr(spectrum, DEFAULT_PEAK_WINDOW, DEFAULT_NOISE_WINDOW)
     return report.snr

@@ -10,8 +10,11 @@ state oracle applies the same gates one at a time by index arithmetic on a
 flat vector; a register reads out in natural order by a transpose of its
 memory axes, not through the engine's index tables; the phase-estimation
 distribution is the closed form, not a simulation; the averaging study is
-built shot by shot from `synth_fid`, one trace per shot, not from the
-batched shot blocks.
+built shot by shot from `synth_fid`, one trace per shot, its noise drawn by
+`rng.normals` from each shot's seed. It shares with `cat_snr` the helper
+that turns a shot's normals into its noisy trace, but not
+`rng.normal_blocks`, which hashes the shots' seeds and draws their normals
+a block at a time.
 """
 
 import math

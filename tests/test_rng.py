@@ -139,24 +139,34 @@ class TestPhasorSum:
         assert abs(rng.phasor_sum(seed, count) - want) <= 1e-15 * count
 
 
-class TestNoiseBlocks:
-    SEEDS = rng.words(2**63 + 3, 49)
+class TestNormalBlocks:
+    SEED = 2**63 + 3
 
-    @pytest.mark.parametrize("shots", [1, 23, 24, 25, 49])
-    def test_rows_are_split_normals_in_one_buffer(self, shots):
-        length, block = 8, 24
-        seeds = self.SEEDS[:shots, None]
+    @pytest.mark.parametrize("count", [1, 23, 24, 25, 49])
+    def test_rows_are_derived_streams_in_one_buffer(self, count):
+        # rows past the first block check that block's offset into the seeds
+        width, block = 16, 24
         sizes, first = [], None
-        for lo, noise in zip(range(0, shots, block), rng.noise_blocks(seeds, length, block)):
-            first = noise if first is None else first
-            assert np.shares_memory(noise, first)  # one buffer, overwritten
-            assert noise.dtype == np.complex128 and noise.shape[1] == length
-            sizes.append(len(noise))
-            for row, seed in zip(noise, seeds[lo:lo + block, 0]):
-                draws = rng.normals(int(seed), 2 * length)
-                assert np.array_equal(row.real.view(np.uint64), draws[:length].view(np.uint64))
-                assert np.array_equal(row.imag.view(np.uint64), draws[length:].view(np.uint64))
-        assert sizes == [min(block, shots - lo) for lo in range(0, shots, block)]
+        blocks = rng.normal_blocks(self.SEED, count, width, block)
+        for lo, draws in zip(range(0, count, block), blocks, strict=True):
+            first = draws if first is None else first
+            assert draws.ctypes.data == first.ctypes.data  # one buffer, overwritten
+            assert draws.dtype == np.float64 and draws.shape[1] == width
+            sizes.append(len(draws))
+            for j, row in enumerate(draws, start=lo):
+                want = rng.normals(rng.mix(self.SEED, j), width)
+                assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
+        assert sizes == [min(block, count - lo) for lo in range(0, count, block)]
+
+    def test_no_buffer_grows_with_the_count(self):
+        # a seed column for 10^7 streams alone would hold 76 MiB
+        tracemalloc.start()
+        try:
+            next(rng.normal_blocks(5, 10**7, 512, 24))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestPhasorKernel:

@@ -8,11 +8,9 @@ import pytest
 
 from spinwhiten import errors, rng, signal
 from spinwhiten.signal import (
-    DEFAULT_BUDGET,
     FidTrace,
     SpectralLine,
     Spectrum,
-    SpinBudget,
     cat_average,
     cat_experiment,
     cat_snr,
@@ -132,6 +130,8 @@ class TestCatAverage:
             cat_average(iter([]), 1.0)
         with pytest.raises(errors.OutOfRange, match="cat_average needs at least one trace"):
             cat_average([np.zeros((0, 16), dtype=complex)], 1.0)
+        with pytest.raises(errors.OutOfRange, match="cat_average needs at least one trace"):
+            cat_snr(0, seed=5)  # no block of shots reaches the average
 
     def test_consumes_a_stream(self):
         shots = [synth_fid([], 16, 1.0, noise_sigma=1.0, seed=s).samples for s in range(5)]
@@ -246,31 +246,31 @@ class TestSpinBudget:
         assert [stage.exponent for stage in chain] == [23, 20, 14, 11]
 
     def test_single_stage(self):
-        chain = spin_budget_chain(SpinBudget((("source", 8),)))
+        chain = spin_budget_chain((("source", 8),))
         assert len(chain) == 1 and chain[0].population == 10**8
 
     def test_zero_attenuation_keeps_population(self):
-        chain = spin_budget_chain(SpinBudget((("a", 6), ("b", 0), ("c", 0))))
+        chain = spin_budget_chain((("a", 6), ("b", 0), ("c", 0)))
         assert [stage.population for stage in chain] == [10**6] * 3
 
     def test_concatenation_composes(self):
         first = (("a", 5), ("b", -2))
         second = (("c", -1), ("d", 3))
-        whole = spin_budget_chain(SpinBudget(first + second))
-        front = spin_budget_chain(SpinBudget(first))
+        whole = spin_budget_chain(first + second)
+        front = spin_budget_chain(first)
         assert [s.exponent for s in whole[:2]] == [s.exponent for s in front]
         # composition: tail exponents are front-final plus the second chain's own
-        tail = spin_budget_chain(SpinBudget(second))
+        tail = spin_budget_chain(second)
         offset = front[-1].exponent
         assert [s.exponent for s in whole[2:]] == [s.exponent + offset for s in tail]
 
     def test_negative_cumulative_exponent_is_fractional(self):
-        chain = spin_budget_chain(SpinBudget((("a", 1), ("b", -3))))
+        chain = spin_budget_chain((("a", 1), ("b", -3)))
         assert chain[-1].population == pytest.approx(1e-2)
 
     def test_rejects_empty(self):
         with pytest.raises(errors.OutOfRange, match="budget needs at least one stage"):
-            SpinBudget(())
+            spin_budget_chain(())
 
 
 class TestEnhancementReport:
@@ -405,6 +405,25 @@ class TestBatchedCatMatchesPerShotSynthesis:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 2**20
+
+    def test_first_block_of_ten_million_shots_holds_no_per_shot_array(self, monkeypatch):
+        # a seed per shot alone would hold 76 MiB; the average stops after one block
+        class FirstBlock(Exception):
+            pass
+
+        def first_block(shots, dwell_s):
+            assert next(iter(shots)).shape == (signal._CAT_SHOT_BLOCK, 256)
+            raise FirstBlock
+
+        monkeypatch.setattr(signal, "cat_average", first_block)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstBlock):
+                cat_snr(10**7, seed=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_blocks_draw_into_one_buffer_per_call(self, monkeypatch):
         addresses = []
