@@ -246,10 +246,11 @@ def cmd_cat(cfg: CliConfig, n_list: str, seeds: int, line_spec: str, noise: floa
         raise OutOfRange("--n-list needs positive integers")
     _check_size("--n-list", max(counts))
     _check_size("--length", length)
-    shots = seeds * sum(counts)
-    if shots > MAX_SHOTS:
-        raise OutOfRange(f"{shots} shots (--seeds times the --n-list total) "
-                         f"exceed the limit of {MAX_SHOTS}")
+    # a shot costs time in proportion to its samples, so the limit counts those
+    samples = seeds * sum(counts) * length
+    if samples > MAX_SHOTS:
+        raise OutOfRange(f"{samples} samples (--seeds times the --n-list total times "
+                         f"--length) exceed the limit of {MAX_SHOTS}")
     seed = cfg.master_seed if seed is None else seed
     rows = sig.cat_experiment(
         counts, seeds, master_seed=seed,

@@ -100,7 +100,8 @@ SEED = "seed"  # optional seed=<int in [0, 2^64)>, last if present
 _ECHO_CHARS = 40  # messages echo at most this much of an offending token
 
 # `check` refuses an acquire of more shots: shots cost time, not memory, and
-# 2**32 of them take about 2.5 minutes at 3e7 shots/s.
+# 2**32 of them take about 2.5 minutes at 3e7 shots/s. The `cat` command holds
+# its samples (shots times trace length) to the same limit.
 MAX_SHOTS = 1 << 32
 # `execute` refuses a larger ensemble: a receiver sum costs about 15 ms per
 # 10**6 spins, so one over 2**32 spins takes about a minute.

@@ -14,12 +14,16 @@ the phase-accumulator word of Tierney, Rader & Gold (IEEE Trans. Audio
 Electroacoust. AU-19, 1971). The top 12 bits of t, rounded, pick a 2^12-entry
 table entry, and a short polynomial rotates by the integer residual (Tang,
 ACM TOMS 1989). A hashed word with its low 11 bits cleared is the turn of
-the uniform draw it gives: `normals` takes its Box-Muller cosines from the
-kernel this way, `phasor_sum` (the receiver sum) its whitened phasors, and
-the register's phase encoding its phasors from exact turns of gamma. The
-block loops of `phasor_sum` and `normal_blocks` (the normals of the derived
-streams mix(seed, j), one per row) allocate their buffers once per call, so
-no other module knows the buffers' layout.
+the uniform draw it gives: `normals` takes the cosines and sines of its
+Box-Muller pairs from the kernel this way, `phasor_sum` (the receiver sum)
+its whitened phasors, and the register's phase encoding its phasors from
+exact turns of gamma. Each Box-Muller pair hashes two words and gives both
+of its halves as consecutive normal draws, one word per draw. Every noisy
+trace and every `cat` value is a function of that layout: another layout
+moves them by new draws, not by rounding. The block loops of `phasor_sum`
+and `normal_blocks` (the normals of the derived streams mix(seed, j), one
+per row) advance one counter row in place and allocate their buffers once
+per call, so no other module knows the buffers' layout.
 """
 
 from __future__ import annotations
@@ -83,7 +87,7 @@ def words(seed: int | np.ndarray, count: int, start: int = 0) -> np.ndarray:
     seed[b], so a batch of streams is hashed in one pass.
     """
     out = np.empty(_draw_shape(seed, count), dtype=np.uint64)
-    return _hash_into(seed, start, 1, out, np.empty_like(out))
+    return _hash_into(seed, start, out, np.empty_like(out))
 
 
 def uniforms(seed: int | np.ndarray, count: int, start: int = 0) -> np.ndarray:
@@ -133,8 +137,9 @@ def phasor_sum(seed: int, count: int) -> complex:
     return complex(re, im)
 
 
-# Rows of the float64 array that `normals` reuses: one for the angle words and
-# then the result, and _PHASOR_BUFFER_ROWS for `phasor_factors`.
+# Rows of the float64 array that `normals` reuses: the _PHASOR_BUFFER_ROWS
+# rows of `phasor_factors` over the pairs (the first of them then takes the
+# result), and one for the pairs' radii.
 _NORMAL_BUFFER_ROWS = _PHASOR_BUFFER_ROWS + 1
 
 
@@ -144,63 +149,91 @@ def normals(
     start: int = 0,
     buffers: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Standard-normal draws via Box-Muller over consecutive uniform pairs.
+    """Standard-normal draws start .. start+count-1 of the stream, by Box-Muller.
 
-    Draw j is sqrt(-2 log(1 - u_2j)) * cos(2 pi u_2j+1) for the uniforms at
-    stream positions 2(start+j) and 2(start+j)+1, so disjoint (start, count)
-    ranges never share entropy. The cosine comes from the `phasor_factors`
-    kernel, not from libm; against the scalar math.cos formula each draw is
-    within 1e-15 * max(1, radius). seed may be a uint64 column of streams, as
-    in `words`; each row is then that stream's draws. `buffers`, a
-    C-contiguous float64 array of shape (_NORMAL_BUFFER_ROWS, >= the number
-    of draws), is reused when given: the result is then a view of its first
-    row, and the other rows are free once the call returns.
+    Pair j takes the uniforms at stream positions 2j (the radius) and 2j+1
+    (the angle) and gives two draws: draw 2j is
+    sqrt(-2 log(1 - u_2j)) * cos(2 pi u_2j+1) and draw 2j+1 the same radius
+    times sin(2 pi u_2j+1). Draw p is thus half p & 1 of pair p >> 1, a pure
+    function of (seed, p), so disjoint (start, count) ranges never share
+    entropy, and one word is hashed per draw (one more at each end of the
+    range that falls mid-pair). The cosine and sine come from the
+    `phasor_factors` kernel, not from libm; against the scalar math.cos and
+    math.sin formulas each draw is within 1e-15 * max(1, radius). seed may
+    be a uint64 column of streams, as in `words`; each row is then that
+    stream's draws. `buffers`, a C-contiguous float64 array of shape
+    (_NORMAL_BUFFER_ROWS, >= the number of draws), is reused when given: the
+    result is then a view of its first row, and the other rows are free once
+    the call returns.
     """
     shape = _draw_shape(seed, count)
     size = math.prod(shape)
     if buffers is None:
         buffers = np.empty((_NORMAL_BUFFER_ROWS, size))
-    row = buffers[0, :size]
-    # The odd positions give the angle: each word, its low 11 bits cleared, is
-    # the turn of u = (word >> 11) * 2^-53, hashed into row 0 with row 1 for
-    # the shifts. cos(2 pi u) = T_cos cos r - T_sin sin r.
-    turns = row.view(np.uint64)
-    _hash_into(seed, 2 * start + 1, 2, turns.reshape(shape),
-               buffers[1, :size].view(np.uint64).reshape(shape))
-    turns &= _TURN_MASK
-    table_cos, table_sin, cos_r, sin_r = phasor_factors(turns, buffers[1:])
-    cos_r *= table_cos
-    sin_r *= table_sin
-    cos_r -= sin_r
-    # The even positions give radius = sqrt(-2 log(1 - u)); 1 - u lies in
-    # (0, 1], so its log is finite. Words are hashed into rows 1 and 2, which
-    # the kernel is done with, and cast into row 0 by np.copyto, which, unlike
-    # a ufunc casting on the fly, needs no temporary buffer.
-    w1, w2 = (buffers[i, :size].view(np.uint64).reshape(shape) for i in (1, 2))
-    k = _hash_into(seed, 2 * start, 2, w1, w2)
+    first = start // 2
+    pairs = (start + count + 1) // 2 - first if count else 0
+    pair_shape = shape[:-1] + (pairs,)
+    span = math.prod(pair_shape)  # at most size, so each pair row fits a row
+    # The pairs' words, hashed in one pass into rows 2-3 with rows 4-5 for
+    # the shifts. Each odd word with its low 11 bits cleared is the turn of
+    # its uniform u = (word >> 11) * 2^-53; the kernel reads the turns before
+    # it writes rows 2-5.
+    words, scratch = (buffers[i:i + 2].reshape(-1)[:2 * span].view(np.uint64)
+                      for i in (2, 4))
+    word_shape = shape[:-1] + (2 * pairs,)
+    _hash_into(seed, 2 * first, words.reshape(word_shape), scratch.reshape(word_shape))
+    # radius = sqrt(-2 log(1 - u)) from each even word, in the last row; 1 - u
+    # lies in (0, 1], so its log is finite. np.copyto casts without a temporary.
+    k = words[0::2]
     k >>= np.uint64(11)
-    np.copyto(row, k.reshape(-1))
-    row *= _U53_SCALE
-    np.subtract(1.0, row, out=row)
-    np.log(row, out=row)
-    row *= -2.0
-    np.sqrt(row, out=row)
-    row *= cos_r
-    return row.reshape(shape)
+    radius = buffers[-1, :span]
+    np.copyto(radius, k)
+    radius *= _U53_SCALE
+    np.subtract(1.0, radius, out=radius)
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    turns = words[1::2]
+    turns &= _TURN_MASK
+    table_cos, table_sin, cos_r, sin_r = phasor_factors(turns, buffers[:-1])
+    # cos = T_cos cos r - T_sin sin r into row 1; sin = T_sin cos r + T_cos sin r.
+    cos = np.multiply(table_cos, cos_r, out=buffers[1, :span])
+    table_cos *= sin_r
+    sin_r *= table_sin
+    cos -= sin_r
+    sin = table_sin
+    sin *= cos_r
+    sin += table_cos
+    # Only the requested draws go to row 0: its slots off, off+2, ... are
+    # cosine halves, starting at pair off, and the others sine halves.
+    out = buffers[0, :size].reshape(shape)
+    off = start & 1
+    radius, cos, sin = (row.reshape(pair_shape) for row in (radius, cos, sin))
+    for slots, halves, lo in ((out[..., off::2], cos, off), (out[..., 1 - off::2], sin, 0)):
+        hi = lo + slots.shape[-1]
+        np.multiply(halves[..., lo:hi], radius[..., lo:hi], out=slots)
+    return out
 
 
 def normal_blocks(seed: int, count: int, width: int, block: int) -> Iterator[np.ndarray]:
     """Rows ``normals(mix(seed, j), width)`` for j = 0 .. count-1, `block` at a time.
 
-    Each (b, width) block hashes only its own rows' stream seeds, so no array
-    grows with `count`. Every block is a view of one workspace, allocated at
-    full block size once per call (so successive calls reuse one heap block),
-    that the next block's one `normals` call overwrites.
+    Each (b, width) block hashes only its own rows' stream seeds, from one
+    counter row, seed + (j+1)*GOLDEN, that advances in place by block*GOLDEN,
+    so no array grows with `count`. Every block is a view of one workspace,
+    allocated at full block size once per call (so successive calls reuse one
+    heap block), that the next block's one `normals` call overwrites.
     """
     workspace = np.empty((_NORMAL_BUFFER_ROWS, block * width))
+    counter = np.arange(1, block + 1, dtype=np.uint64)
+    counter *= np.uint64(GOLDEN)
+    counter += np.uint64(seed & MASK64)
+    advance = np.uint64(block * GOLDEN & MASK64)
     seeds, scratch = np.empty((2, block), dtype=np.uint64)
     for lo in range(0, count, block):
-        rows = _hash_into(seed, lo, 1, seeds[:count - lo], scratch[:count - lo])
+        size = min(block, count - lo)
+        rows = _mix_into(counter[:size], seeds[:size], scratch[:size])
+        counter += advance
         yield normals(rows[:, None], width, buffers=workspace)
 
 
@@ -258,15 +291,15 @@ def _draw_shape(seed: int | np.ndarray, count: int) -> tuple[int, ...]:
 
 
 def _hash_into(
-    seed: int | np.ndarray, first: int, step: int, out: np.ndarray, scratch: np.ndarray
+    seed: int | np.ndarray, first: int, out: np.ndarray, scratch: np.ndarray
 ) -> np.ndarray:
-    """out[..., j] = mix(seed, first + j*step), hashed in place in uint64 `out`.
+    """out[..., j] = mix(seed, first + j), hashed in place in uint64 `out`.
 
     The counter row (k+1)*GOLDEN is added to the seed (an int or a column)
     straight into out; scratch, uint64 of out's shape, holds the shifts.
     """
     count = out.shape[-1]
-    counter = np.arange(first + 1, first + 1 + step * count, step, dtype=np.uint64)
+    counter = np.arange(first + 1, first + 1 + count, dtype=np.uint64)
     counter *= np.uint64(GOLDEN)
     if not isinstance(seed, np.ndarray):
         seed = np.uint64(seed & MASK64)

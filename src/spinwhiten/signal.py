@@ -5,7 +5,8 @@ Gaussian noise, transforms them with `fourier.fft_forward` (the register
 engine's inverse quantum Fourier transform, scaled by sqrt(L)), averages
 repeated shots (noise falls as sqrt(N)), and measures SNR as spectral peak
 magnitude over the RMS of a signal-free window. One helper turns 2L
-standard normals into a noisy trace, clean + sigma * (real + i * imag): a
+standard normals into a noisy trace, clean + sigma * noise, noise sample j
+being Box-Muller pair j, draws 2j and 2j+1, read as one complex number: a
 `synth_fid` trace from its seed's `rng.normals`, and the averaging study's
 shots from the rows of `rng.normal_blocks`, written into one block of
 traces reused for every block of shots. Every shot stays bit-identical to a
@@ -84,11 +85,10 @@ def _check_noise_sigma(noise_sigma: float) -> None:
 
 def _noisy_into(out: np.ndarray, clean: np.ndarray, noise_sigma: float,
                 draws: np.ndarray) -> np.ndarray:
-    """out = clean + noise_sigma * (draws[..., :L] + i * draws[..., L:]) for
-    clean of length L, written into the complex array `out` (not clean itself)."""
-    length = clean.shape[-1]
-    np.multiply(draws[..., :length], noise_sigma, out=out.real)
-    np.multiply(draws[..., length:], noise_sigma, out=out.imag)
+    """out = clean + noise_sigma * draws.view(complex128), written into the
+    complex array `out` (not clean itself): noise sample j is draw pair j,
+    draw 2j its real part and draw 2j+1 its imaginary part."""
+    np.multiply(draws.view(np.complex128), noise_sigma, out=out)
     out += clean
     return out
 
@@ -104,8 +104,8 @@ def synth_fid(
 
     s(t_j) = sum_l A_l exp(2*pi*i*nu_l*t_j) exp(-t_j / T2_l) + noise, with
     independent Gaussian noise of std `noise_sigma` on each of the real and
-    imaginary parts: the real parts take draws 0 .. L-1 of the counter-based
-    stream of `seed`, the imaginary parts draws L .. 2L-1.
+    imaginary parts: noise sample j is pair j of the counter-based normal
+    stream of `seed`, draw 2j its real part and draw 2j+1 its imaginary part.
     """
     if not fourier.is_power_of_two(length) or length < 2:
         raise OutOfRange(f"trace length {length} is not a power of two >= 2")

@@ -11,7 +11,8 @@ flat vector; a register reads out in natural order by a transpose of its
 memory axes, not through the engine's index tables; the phase-estimation
 distribution is the closed form, not a simulation; the averaging study is
 built shot by shot from `synth_fid`, one trace per shot, its noise drawn by
-`rng.normals` from each shot's seed. It shares with `cat_snr` the helper
+`rng.normals` from each shot's seed, noise sample j being that stream's
+normal pair j (draws 2j and 2j+1). It shares with `cat_snr` the helper
 that turns a shot's normals into its noisy trace, but not
 `rng.normal_blocks`, which hashes the shots' seeds and draws their normals
 a block at a time.

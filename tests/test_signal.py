@@ -59,11 +59,11 @@ class TestSynthFid:
         assert rms == pytest.approx(0.5 * np.sqrt(2), rel=0.1)
 
     def test_noise_parts_are_consecutive_stream_draws(self):
-        # Real parts take normals 0 .. L-1 of the seed's stream, imaginary L .. 2L-1.
+        # Noise sample j is pair j of the seed's stream: draw 2j real, 2j+1 imaginary.
         trace = synth_fid([], 8, 1.0, noise_sigma=1.0, seed=2**63 + 1)
         draws = rng.normals(2**63 + 1, 16)
-        assert np.array_equal(trace.samples.real, draws[:8])
-        assert np.array_equal(trace.samples.imag, draws[8:])
+        assert np.array_equal(trace.samples.real, draws[0::2])
+        assert np.array_equal(trace.samples.imag, draws[1::2])
 
     def test_rejects_line_at_or_above_nyquist(self):
         with pytest.raises(errors.OutOfRange, match="is not below Nyquist"):
