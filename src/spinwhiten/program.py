@@ -274,7 +274,7 @@ class RunReport:
         return doc
 
 
-# Shots drawn per block by `_sample_outcomes`, at least: about 24 B each.
+# Shots drawn per block by `_sample_outcomes`: about 24 B each.
 _SHOT_BLOCK = 1 << 16
 
 
@@ -283,26 +283,20 @@ def _sample_outcomes(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
     probs is overwritten by its cumulative sum.
 
     Shot k draws uniform k of the seed's stream, a pure function of (seed,
-    k), so the shots are drawn in blocks and their counts added: the
-    histogram equals the one drawn all at once, and memory stays flat in
-    shots. A block holds max(_SHOT_BLOCK, len(probs)) shots, so its
-    histogram is never larger than its draws.
+    k), so the shots are drawn _SHOT_BLOCK at a time and each block's
+    outcomes are counted into one histogram with `np.add.at`: the histogram
+    equals the one drawn all at once, memory stays flat in shots, and no
+    block builds a histogram of its own.
     """
     cum = np.cumsum(probs, out=probs)
-    block = max(_SHOT_BLOCK, len(probs))
-    counts = _count_outcomes(cum, seed, 0, min(block, shots))
-    for start in range(block, shots, block):
-        counts += _count_outcomes(cum, seed, start, min(block, shots - start))
+    counts = np.zeros(len(cum), dtype=np.intp)
+    for start in range(0, shots, _SHOT_BLOCK):
+        draws = rng.uniforms(seed, min(_SHOT_BLOCK, shots - start), start)
+        draws *= cum[-1]  # scale absorbs rounding in the total
+        outcomes = np.searchsorted(cum, draws, side="right")
+        np.clip(outcomes, 0, len(cum) - 1, out=outcomes)
+        np.add.at(counts, outcomes, 1)
     return counts
-
-
-def _count_outcomes(cum: np.ndarray, seed: int, start: int, shots: int) -> np.ndarray:
-    """Histogram of shots start .. start+shots-1 over the cumulative sum cum."""
-    draws = rng.uniforms(seed, shots, start)
-    draws *= cum[-1]  # scale absorbs rounding in the total
-    outcomes = np.searchsorted(cum, draws, side="right")
-    np.clip(outcomes, 0, len(cum) - 1, out=outcomes)
-    return np.bincount(outcomes, minlength=len(cum))
 
 
 def execute(

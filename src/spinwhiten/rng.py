@@ -20,10 +20,11 @@ its whitened phasors, and the register's phase encoding its phasors from
 exact turns of gamma. Each Box-Muller pair hashes two words and gives both
 of its halves as consecutive normal draws, one word per draw. Every noisy
 trace and every `cat` value is a function of that layout: another layout
-moves them by new draws, not by rounding. The block loops of `phasor_sum`
-and `normal_blocks` (the normals of the derived streams mix(seed, j), one
-per row) advance one counter row in place and allocate their buffers once
-per call, so no other module knows the buffers' layout.
+moves them by new draws, not by rounding. `phasor_sum` and `normal_blocks`
+(the normals of the derived streams mix(seed, j), one per row) read their
+words in blocks from one generator, `_word_blocks`, which advances one
+counter row in place; each allocates its buffers once per call, so no other
+module knows the buffers' layout.
 """
 
 from __future__ import annotations
@@ -78,23 +79,20 @@ def uniform01(word: int) -> float:
     return (word >> 11) * _U53_SCALE
 
 
-def words(seed: int | np.ndarray, count: int, start: int = 0) -> np.ndarray:
+def words(seed: int, count: int, start: int = 0) -> np.ndarray:
     """Words start .. start+count-1 of the stream, vectorized, as uint64.
 
-    Equivalent to ``[mix(seed, k) for k in range(start, start+count)]``. seed
-    is an int, or a uint64 column of shape (B, 1) whose rows are separate
-    streams: the result then has shape (B, count), row b holding the words of
-    seed[b], so a batch of streams is hashed in one pass.
+    Equivalent to ``[mix(seed, k) for k in range(start, start+count)]``.
     """
-    out = np.empty(_draw_shape(seed, count), dtype=np.uint64)
+    out = np.empty(count, dtype=np.uint64)
     return _hash_into(seed, start, out, np.empty_like(out))
 
 
-def uniforms(seed: int | np.ndarray, count: int, start: int = 0) -> np.ndarray:
+def uniforms(seed: int, count: int, start: int = 0) -> np.ndarray:
     """Draws start .. start+count-1 of the stream, vectorized.
 
     Equivalent to ``[uniform01(mix(seed, k)) for k in range(start, start+count)]``
-    but allocation-lean. seed may be a uint64 column of streams, as in `words`.
+    but allocation-lean.
     """
     z = words(seed, count, start)
     z >>= np.uint64(11)
@@ -110,28 +108,18 @@ def phasor_sum(seed: int, count: int) -> complex:
 
     Turn k is mix(seed, k) with its low 11 bits cleared, which is exactly
     u_k * 2^64 for u_k = uniform01(mix(seed, k)), the phase as
-    `phasor_factors` takes it. The turns are hashed _SUM_BLOCK at a time on
-    one counter row, seed + (k+1)*GOLDEN, that advances in place, and each
-    block's phasors are summed from the kernel's factors with four `np.dot`
-    products. Every buffer is allocated once per call: buffers made and freed
-    per block would be trimmed from the top of the heap by glibc and faulted
-    back in on the next block, about 10^4 page faults and 20 ms per 10^6
-    turns in a fresh process.
+    `phasor_factors` takes it. The turns come _SUM_BLOCK at a time from
+    `_word_blocks`, and each block's phasors are summed from the kernel's
+    factors with four `np.dot` products. Every buffer is allocated once per
+    call: buffers made and freed per block would be trimmed from the top of
+    the heap by glibc and faulted back in on the next block, about 10^4 page
+    faults and 20 ms per 10^6 turns in a fresh process.
     """
     buffers = np.empty((_PHASOR_BUFFER_ROWS, _SUM_BLOCK))
-    counter = np.arange(1, _SUM_BLOCK + 1, dtype=np.uint64)
-    counter *= np.uint64(GOLDEN)
-    counter += np.uint64(seed & MASK64)
-    advance = np.uint64(_SUM_BLOCK * GOLDEN & MASK64)
-    turns = np.empty(_SUM_BLOCK, dtype=np.uint64)
-    scratch = np.empty_like(turns)
     re = im = 0.0
-    for start in range(0, count, _SUM_BLOCK):
-        size = min(_SUM_BLOCK, count - start)
-        block = _mix_into(counter[:size], turns[:size], scratch[:size])
-        block &= _TURN_MASK
-        counter += advance
-        table_cos, table_sin, cos_r, sin_r = phasor_factors(block, buffers)
+    for turns in _word_blocks(seed, count, _SUM_BLOCK):
+        turns &= _TURN_MASK
+        table_cos, table_sin, cos_r, sin_r = phasor_factors(turns, buffers)
         re += np.dot(table_cos, cos_r) - np.dot(table_sin, sin_r)
         im += np.dot(table_sin, cos_r) + np.dot(table_cos, sin_r)
     return complex(re, im)
@@ -144,35 +132,30 @@ _NORMAL_BUFFER_ROWS = _PHASOR_BUFFER_ROWS + 1
 
 
 def normals(
-    seed: int | np.ndarray,
-    count: int,
-    start: int = 0,
-    buffers: np.ndarray | None = None,
+    seed: int | np.ndarray, count: int, buffers: np.ndarray | None = None
 ) -> np.ndarray:
-    """Standard-normal draws start .. start+count-1 of the stream, by Box-Muller.
+    """Standard-normal draws 0 .. count-1 of the stream, by Box-Muller.
 
     Pair j takes the uniforms at stream positions 2j (the radius) and 2j+1
     (the angle) and gives two draws: draw 2j is
     sqrt(-2 log(1 - u_2j)) * cos(2 pi u_2j+1) and draw 2j+1 the same radius
     times sin(2 pi u_2j+1). Draw p is thus half p & 1 of pair p >> 1, a pure
-    function of (seed, p), so disjoint (start, count) ranges never share
-    entropy, and one word is hashed per draw (one more at each end of the
-    range that falls mid-pair). The cosine and sine come from the
-    `phasor_factors` kernel, not from libm; against the scalar math.cos and
-    math.sin formulas each draw is within 1e-15 * max(1, radius). seed may
-    be a uint64 column of streams, as in `words`; each row is then that
-    stream's draws. `buffers`, a C-contiguous float64 array of shape
-    (_NORMAL_BUFFER_ROWS, >= the number of draws), is reused when given: the
-    result is then a view of its first row, and the other rows are free once
-    the call returns.
+    function of (seed, p), and one word is hashed per draw (one more for an
+    odd count, whose last pair gives only its cosine half). The cosine and
+    sine come from the `phasor_factors` kernel, not from libm; against the
+    scalar math.cos and math.sin formulas each draw is within
+    1e-15 * max(1, radius). seed is an int, or a uint64 column of shape
+    (B, 1) whose rows are separate streams: the result then has shape
+    (B, count), row b holding the draws of seed[b]. `buffers`, a C-contiguous
+    float64 array of shape (_NORMAL_BUFFER_ROWS, >= the number of draws), is
+    reused when given: the result is then a view of its first row, and the
+    other rows are free once the call returns.
     """
-    shape = _draw_shape(seed, count)
+    shape = seed.shape[:-1] + (count,) if isinstance(seed, np.ndarray) else (count,)
     size = math.prod(shape)
     if buffers is None:
         buffers = np.empty((_NORMAL_BUFFER_ROWS, size))
-    first = start // 2
-    pairs = (start + count + 1) // 2 - first if count else 0
-    pair_shape = shape[:-1] + (pairs,)
+    pair_shape = shape[:-1] + ((count + 1) // 2,)
     span = math.prod(pair_shape)  # at most size, so each pair row fits a row
     # The pairs' words, hashed in one pass into rows 2-3 with rows 4-5 for
     # the shifts. Each odd word with its low 11 bits cleared is the turn of
@@ -180,8 +163,8 @@ def normals(
     # it writes rows 2-5.
     words, scratch = (buffers[i:i + 2].reshape(-1)[:2 * span].view(np.uint64)
                       for i in (2, 4))
-    word_shape = shape[:-1] + (2 * pairs,)
-    _hash_into(seed, 2 * first, words.reshape(word_shape), scratch.reshape(word_shape))
+    word_shape = shape[:-1] + (2 * pair_shape[-1],)
+    _hash_into(seed, 0, words.reshape(word_shape), scratch.reshape(word_shape))
     # radius = sqrt(-2 log(1 - u)) from each even word, in the last row; 1 - u
     # lies in (0, 1], so its log is finite. np.copyto casts without a temporary.
     k = words[0::2]
@@ -204,37 +187,47 @@ def normals(
     sin = table_sin
     sin *= cos_r
     sin += table_cos
-    # Only the requested draws go to row 0: its slots off, off+2, ... are
-    # cosine halves, starting at pair off, and the others sine halves.
+    # Row 0 takes the draws: cosine halves in its even slots, sine halves in
+    # its odd ones.
     out = buffers[0, :size].reshape(shape)
-    off = start & 1
     radius, cos, sin = (row.reshape(pair_shape) for row in (radius, cos, sin))
-    for slots, halves, lo in ((out[..., off::2], cos, off), (out[..., 1 - off::2], sin, 0)):
-        hi = lo + slots.shape[-1]
-        np.multiply(halves[..., lo:hi], radius[..., lo:hi], out=slots)
+    np.multiply(cos, radius, out=out[..., 0::2])
+    half = count // 2
+    np.multiply(sin[..., :half], radius[..., :half], out=out[..., 1::2])
     return out
 
 
 def normal_blocks(seed: int, count: int, width: int, block: int) -> Iterator[np.ndarray]:
     """Rows ``normals(mix(seed, j), width)`` for j = 0 .. count-1, `block` at a time.
 
-    Each (b, width) block hashes only its own rows' stream seeds, from one
-    counter row, seed + (j+1)*GOLDEN, that advances in place by block*GOLDEN,
-    so no array grows with `count`. Every block is a view of one workspace,
-    allocated at full block size once per call (so successive calls reuse one
-    heap block), that the next block's one `normals` call overwrites.
+    Each (b, width) block is one `normals` call on a column of its own rows'
+    stream seeds, which come from `_word_blocks`, so no array grows with
+    `count`. Every block is a view of one workspace, allocated at full block
+    size once per call (so successive calls reuse one heap block), that the
+    next block's `normals` call overwrites.
     """
     workspace = np.empty((_NORMAL_BUFFER_ROWS, block * width))
+    for seeds in _word_blocks(seed, count, block):
+        yield normals(seeds[:, None], width, buffers=workspace)
+
+
+def _word_blocks(seed: int, count: int, block: int) -> Iterator[np.ndarray]:
+    """Words mix(seed, k) for k = 0 .. count-1, `block` at a time.
+
+    The counter row seed + (k+1)*GOLDEN is built once and advances in place
+    by block*GOLDEN, so any block is hashed from its own counters alone.
+    Every block is a view of one buffer that the next block overwrites, and
+    may be changed in place by the caller.
+    """
     counter = np.arange(1, block + 1, dtype=np.uint64)
     counter *= np.uint64(GOLDEN)
     counter += np.uint64(seed & MASK64)
     advance = np.uint64(block * GOLDEN & MASK64)
-    seeds, scratch = np.empty((2, block), dtype=np.uint64)
+    words, scratch = np.empty((2, block), dtype=np.uint64)
     for lo in range(0, count, block):
         size = min(block, count - lo)
-        rows = _mix_into(counter[:size], seeds[:size], scratch[:size])
+        yield _mix_into(counter[:size], words[:size], scratch[:size])
         counter += advance
-        yield normals(rows[:, None], width, buffers=workspace)
 
 
 def phasor_factors(
@@ -283,11 +276,6 @@ def phasor_factors(
     sin_r *= r
     sin_r += r
     return table_cos, table_sin, cos_r, sin_r
-
-
-def _draw_shape(seed: int | np.ndarray, count: int) -> tuple[int, ...]:
-    """Shape of `count` draws: (count,) for an int seed, (B, count) for a column."""
-    return seed.shape[:-1] + (count,) if isinstance(seed, np.ndarray) else (count,)
 
 
 def _hash_into(

@@ -5,13 +5,12 @@ Gaussian noise, transforms them with `fourier.fft_forward` (the register
 engine's inverse quantum Fourier transform, scaled by sqrt(L)), averages
 repeated shots (noise falls as sqrt(N)), and measures SNR as spectral peak
 magnitude over the RMS of a signal-free window. One helper turns 2L
-standard normals into a noisy trace, clean + sigma * noise, noise sample j
-being Box-Muller pair j, draws 2j and 2j+1, read as one complex number: a
-`synth_fid` trace from its seed's `rng.normals`, and the averaging study's
-shots from the rows of `rng.normal_blocks`, written into one block of
-traces reused for every block of shots. Every shot stays bit-identical to a
-`synth_fid` call with that shot's seed, and the average sums the blocks'
-rows in shot order.
+standard normals into a noisy trace, clean + sigma * noise, in the normals'
+own buffer, noise sample j being Box-Muller pair j, draws 2j and 2j+1, read
+as one complex number: a `synth_fid` trace from its seed's `rng.normals`,
+and the averaging study's shots from the rows of each `rng.normal_blocks`
+block. Every shot stays bit-identical to a `synth_fid` call with that
+shot's seed, and the average sums the blocks' rows in shot order.
 Also carries the spin-budget decade arithmetic and the register-size
 enhancement report.
 """
@@ -83,14 +82,14 @@ def _check_noise_sigma(noise_sigma: float) -> None:
         raise OutOfRange(f"noise sigma must be finite and >= 0, got {noise_sigma}")
 
 
-def _noisy_into(out: np.ndarray, clean: np.ndarray, noise_sigma: float,
-                draws: np.ndarray) -> np.ndarray:
-    """out = clean + noise_sigma * draws.view(complex128), written into the
-    complex array `out` (not clean itself): noise sample j is draw pair j,
+def _noisy(draws: np.ndarray, clean: np.ndarray, noise_sigma: float) -> np.ndarray:
+    """clean + noise_sigma * draws.view(complex128), written over the float64
+    `draws` and returned as that complex view: noise sample j is draw pair j,
     draw 2j its real part and draw 2j+1 its imaginary part."""
-    np.multiply(draws.view(np.complex128), noise_sigma, out=out)
-    out += clean
-    return out
+    draws *= noise_sigma
+    noisy = draws.view(np.complex128)
+    noisy += clean
+    return noisy
 
 
 def synth_fid(
@@ -122,8 +121,7 @@ def synth_fid(
         decay = np.exp(-t / line.t2_s)  # exactly 1.0 for T2 = inf
         samples += line.amp * decay * np.exp(2j * np.pi * line.freq_hz * t)
     if noise_sigma > 0:
-        samples = _noisy_into(np.empty_like(samples), samples, noise_sigma,
-                              rng.normals(seed, 2 * length))
+        samples = _noisy(rng.normals(seed, 2 * length), samples, noise_sigma)
     return FidTrace(samples, dwell_s)
 
 
@@ -135,22 +133,18 @@ def fft(trace: FidTrace) -> Spectrum:
 def cat_average(shots: Iterable[np.ndarray], dwell_s: float) -> FidTrace:
     """Pointwise arithmetic mean of repeated acquisitions.
 
-    `shots` yields (B, L) blocks or single (L,) traces, consumed as a stream
-    holding only the running sum. Rows are added in shot order (a sequential
-    in-place `np.add.accumulate` over the sum stacked on the block, in one
-    stack reused for every block) in extended precision, exact for up to
-    ~2000 shots: identical traces average to themselves bit for bit instead
-    of drifting by an ulp.
+    `shots` yields (B, L) blocks of traces, none longer than the first,
+    consumed as a stream holding only the running sum. Rows are added in
+    shot order (a sequential in-place `np.add.accumulate` over the sum
+    stacked on the block, in one stack sized by the first block and reused
+    for every block) in extended precision, exact for up to ~2000 shots:
+    identical traces average to themselves bit for bit instead of drifting
+    by an ulp.
     """
     stack, count = None, 0
-    for block in shots:
-        rows = np.atleast_2d(block)
+    for rows in shots:
         if stack is None:
             stack = np.zeros((len(rows) + 1, rows.shape[1]), dtype=np.clongdouble)
-        elif rows.shape[1] != stack.shape[1]:
-            raise OutOfRange("all shots must share one length")
-        elif len(rows) >= len(stack):
-            stack = np.concatenate([stack[:1], np.empty_like(rows, dtype=np.clongdouble)])
         part = stack[:len(rows) + 1]  # row 0 holds the running sum
         part[1:] = rows
         np.add.accumulate(part, axis=0, out=part)
@@ -274,7 +268,7 @@ DEFAULT_CAT_NOISE_SIGMA = 1.0
 DEFAULT_PEAK_WINDOW = (30, 35)
 DEFAULT_NOISE_WINDOW = (128, 224)
 # Shots per `rng.normal_blocks` block. rng's workspace for one block, 0.75 MiB
-# for 24 shots of 256 samples, the block of noisy traces built here, 96 KiB,
+# for 24 shots of 256 samples (the noisy traces are built in its first row),
 # and the `cat_average` stack, 8 KiB per shot, are allocated once per call.
 # Over default `cat` tasks in one process (2-vCPU Xeon, numpy 2.4.6), blocks
 # of 16, 24, 32 and 64 shots came within 6% of each other in CPU time (64
@@ -299,20 +293,19 @@ def cat_snr(
     is bit-identical to ``synth_fid([line], length, dwell_s, noise_sigma,
     seed=rng.mix(seed, j))``, but the clean line is synthesized once, and
     the normals of _CAT_SHOT_BLOCK shots come as one block of
-    `rng.normal_blocks`, turned into noisy traces in one (B, length) array
-    allocated once per call, which `cat_average` consumes. No array grows
-    with n_shots, no trace object per shot is built, and without noise the
-    shots are the clean line itself. A line whose bin,
-    round(freq * length * dwell) mod length, misses DEFAULT_PEAK_WINDOW or
-    lands in DEFAULT_NOISE_WINDOW raises OutOfRange before any shot is drawn.
+    `rng.normal_blocks`, turned into noisy traces in place, which
+    `cat_average` consumes. No array grows with n_shots, no trace object per
+    shot is built, and without noise the shots are the clean line itself. A
+    line whose bin, round(freq * length * dwell) mod length, misses
+    DEFAULT_PEAK_WINDOW or lands in DEFAULT_NOISE_WINDOW raises OutOfRange
+    before any shot is drawn.
     """
     _check_noise_sigma(noise_sigma)
     # overflow near the float limit is refused by estimate_snr, not warned of
     with np.errstate(over="ignore", invalid="ignore"):
         clean = synth_fid([line], length, dwell_s).samples
         _check_line_bin(line, length, dwell_s)
-        traces = np.empty((min(_CAT_SHOT_BLOCK, n_shots), length), dtype=np.complex128)
-        shots = (_noisy_into(traces[:len(draws)], clean, noise_sigma, draws) for draws
+        shots = (_noisy(draws, clean, noise_sigma) for draws
                  in rng.normal_blocks(seed, n_shots, 2 * length, _CAT_SHOT_BLOCK))
         spectrum = fft(cat_average(shots, dwell_s))
         report = estimate_snr(spectrum, DEFAULT_PEAK_WINDOW, DEFAULT_NOISE_WINDOW)

@@ -1,0 +1,78 @@
+"""Compare what two source trees report, command by command.
+
+Usage: python tests/same_reports.py PARENT_SRC
+
+Runs each command of a fixed list through ``python -m spinwhiten`` once with
+this checkout's ``src`` on PYTHONPATH and once with PARENT_SRC (the ``src``
+directory of another checkout, usually the parent commit's), each run in its
+own empty temporary directory. It compares the exit code, stdout, stderr
+(with the per-statement wall times of `run` left out) and every file the
+command wrote, prints one line per command, and exits 1 if any of them
+differ. A change meant to keep every report byte-identical runs it by hand;
+pytest does not collect it, and a change that moves digits on purpose fails
+it.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+GOLDEN = sorted((HERE / "golden").glob("*.pp"))
+CANONICAL = str(HERE / "golden" / "p01_canonical.pp")
+GOLDEN_ARGS = ["--seed", "3", "--ensemble-size", "100000"]
+
+COMMANDS = [
+    *(["run", str(path), *GOLDEN_ARGS] for path in GOLDEN),
+    ["run", CANONICAL, *GOLDEN_ARGS, "--format", "csv"],
+    ["run", CANONICAL, "--seed", "7"],
+    ["cat", "--seeds", "3"],
+    ["cat", "--noise", "0", "--line", "125,1,0.05", "--n-list", "1,2,4096", "--seeds", "2"],
+    ["cat", "--line", "600,1,inf"],  # refused: the line misses the peak window
+    ["peak-sweep"],
+    ["peak-sweep", "--qubits", "4", "--grid", "32"],
+    ["budget"],
+    ["qft-verify"],
+]
+
+# `run` ends each statement's stderr line with its wall time: "line 3: whiten (0.012s)".
+_WALL_TIME = re.compile(rb"^(line \d+: \S+) \(\d+\.\d+s\)$", re.MULTILINE)
+
+
+def outcome(src: Path, args: list[str]) -> dict[str, object]:
+    """Exit code, output streams and written files of one command."""
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    with tempfile.TemporaryDirectory() as tmp:
+        done = subprocess.run([sys.executable, "-m", "spinwhiten", *args],
+                              cwd=tmp, env=env, capture_output=True, check=False)
+        files = {path.relative_to(tmp).as_posix(): path.read_bytes()
+                 for path in sorted(Path(tmp).rglob("*")) if path.is_file()}
+    return {"exit code": done.returncode, "stdout": done.stdout,
+            "stderr": _WALL_TIME.sub(rb"\1", done.stderr), "files": files}
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2 or not (Path(argv[1]) / "spinwhiten").is_dir():
+        print("usage: python tests/same_reports.py PARENT_SRC "
+              "(a directory holding the spinwhiten package)", file=sys.stderr)
+        return 2
+    trees = (HERE.parent / "src", Path(argv[1]).resolve())
+    failed = 0
+    for args in COMMANDS:
+        ours, theirs = (outcome(src, args) for src in trees)
+        differ = [key for key in ours if ours[key] != theirs[key]]
+        failed += bool(differ)
+        command = " ".join(Path(arg).name if arg.endswith(".pp") else arg for arg in args)
+        verdict = f"DIFFERENT {', '.join(differ)}" if differ else "identical"
+        print(f"{verdict}: {command} (exit {ours['exit code']})")
+    print(f"{len(COMMANDS) - failed} of {len(COMMANDS)} commands identical")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

@@ -383,12 +383,12 @@ OUT_OF_MEMORY = "out of memory"
 class TestOversizedRequest:
     """A request whose first large array exceeds the 2**47-byte user address
     space, which no allocator can grant, exits 2 with one Error line instead
-    of a MemoryError traceback; so does a size above sys.maxsize // 16, which
-    numpy cannot index at all and the CLI refuses before allocating. A `cat`
-    of more than 2**32 samples in all (--seeds times the --n-list total times
-    --length) is refused as too much work before any shot is drawn, a length
-    that no array could hold among them. (`run` has no such request: its
-    shots are drawn in blocks of fixed size.)"""
+    of a MemoryError traceback; so does a --grid above sys.maxsize // 16,
+    which numpy cannot index at all and the CLI refuses before allocating. A
+    `cat` of more than 2**32 samples in all (--seeds times the --n-list total
+    times --length) is refused as too much work before any shot is drawn, a
+    count or length that no array could hold among them. (`run` has no such
+    request: its shots are drawn in blocks of fixed size.)"""
 
     @pytest.mark.parametrize("args,refusal", [
         pytest.param(("peak-sweep", "--qubits", "4", "--grid", str(10**14)), OUT_OF_MEMORY,
@@ -406,14 +406,17 @@ class TestOversizedRequest:
         pytest.param(("cat", "--length", str(1 << 45), "--n-list", "1", "--seeds", "1"),
                      "35184372088832 samples (--seeds times the --n-list total times "
                      "--length) exceed the limit of 4294967296", id="cat-length"),
-        pytest.param(("cat", "--n-list", str(10**19), "--seeds", "1"), OUT_OF_MEMORY,
-                     id="cat-shots-above-int64"),
+        pytest.param(("cat", "--n-list", str(10**19), "--seeds", "1"),
+                     "2560000000000000000000 samples (--seeds times the --n-list total times "
+                     "--length) exceed the limit of 4294967296", id="cat-shots-above-int64"),
         pytest.param(("peak-sweep", "--qubits", "4", "--grid", str(10**19)), OUT_OF_MEMORY,
                      id="sweep-grid-above-int64"),
         pytest.param(("cat", "--length", str(1 << 62), "--n-list", "1", "--seeds", "1"),
-                     OUT_OF_MEMORY, id="cat-length-above-intp-bytes"),
-        pytest.param(("cat", "--n-list", str(1 << 61), "--seeds", "1"), OUT_OF_MEMORY,
-                     id="cat-shots-above-intp-bytes"),
+                     "4611686018427387904 samples (--seeds times the --n-list total times "
+                     "--length) exceed the limit of 4294967296", id="cat-length-above-intp-bytes"),
+        pytest.param(("cat", "--n-list", str(1 << 61), "--seeds", "1"),
+                     "590295810358705651712 samples (--seeds times the --n-list total times "
+                     "--length) exceed the limit of 4294967296", id="cat-shots-above-intp-bytes"),
         pytest.param(("peak-sweep", "--qubits", "4", "--grid", str(1 << 61)), OUT_OF_MEMORY,
                      id="sweep-grid-above-intp-bytes"),
     ])

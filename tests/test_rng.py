@@ -65,20 +65,21 @@ def test_normals_moments_and_determinism():
 
 
 @pytest.mark.parametrize("seed", [5, "column"])
-@pytest.mark.parametrize("start,count", [(20, 30), (21, 30), (20, 29), (21, 29), (7, 1), (8, 1)])
-def test_normals_offset_is_pairwise(seed, start, count):
-    # Draw p is half p & 1 of pair p >> 1, so every slice, also one that
-    # begins or ends mid-pair, agrees with the full stream.
+@pytest.mark.parametrize("count", [0, 1, 2, 29, 30, 63])
+def test_normals_counts_are_prefixes_of_one_stream(seed, count):
+    # Draw p is half p & 1 of pair p >> 1, so every count, also an odd one
+    # that ends mid-pair, agrees with the longer stream.
     seed = np.array([5, 2**63, rng.MASK64], dtype=np.uint64)[:, None] if seed == "column" else seed
     full = rng.normals(seed, 64)
-    part = rng.normals(seed, count, start=start)
-    assert np.array_equal(part.view(np.uint64), full[..., start:start + count].view(np.uint64))
+    part = rng.normals(seed, count)
+    assert part.shape == full[..., :count].shape
+    assert np.array_equal(part.view(np.uint64), full[..., :count].view(np.uint64))
 
 
 @pytest.mark.parametrize("seed", [11, np.array([[1], [2], [3]], dtype=np.uint64)], ids=["int", "column"])
-@pytest.mark.parametrize("start,count,hashed", [(0, 64, 64), (40, 2, 2), (1, 64, 66), (0, 63, 64), (3, 1, 2)])
-def test_normals_hash_one_word_per_draw(monkeypatch, seed, start, count, hashed):
-    # each pair's two words give two draws; a mid-pair edge hashes its whole pair
+@pytest.mark.parametrize("count,hashed", [(64, 64), (2, 2), (63, 64), (1, 2), (0, 0)])
+def test_normals_hash_one_word_per_draw(monkeypatch, seed, count, hashed):
+    # each pair's two words give two draws; an odd count hashes its last whole pair
     sizes = []
     real_mix_into = rng._mix_into
 
@@ -88,7 +89,7 @@ def test_normals_hash_one_word_per_draw(monkeypatch, seed, start, count, hashed)
 
     monkeypatch.setattr(rng, "_mix_into", spy)
     rows = 1 if isinstance(seed, int) else len(seed)
-    rng.normals(seed, count, start=start)
+    rng.normals(seed, count)
     assert sizes == [rows * hashed]
 
 
@@ -116,8 +117,8 @@ class TestNormalsOracle:
         draws = rng.normals(seed, 2).tolist()
         for draw, func in zip(draws, (math.cos, math.sin)):
             assert abs(draw - radius * func(2 * math.pi * u2)) <= 1e-15 * max(1.0, radius)
-        # a pair's sine half drawn alone, from an odd start
-        assert rng.normals(seed, 1, start=1).tolist() == draws[1:]
+        # a pair's cosine half drawn alone, by an odd count
+        assert rng.normals(seed, 1).tolist() == draws[:1]
 
 
 class TestNormalsBuffers:
@@ -126,13 +127,13 @@ class TestNormalsBuffers:
     SEEDS = np.array([0, 1, 2**63, rng.MASK64, 3192346357569502190], dtype=np.uint64)
 
     @pytest.mark.parametrize("seed", [7, 2**63 + 1, "column"])
-    @pytest.mark.parametrize("start", [0, 1, 20, 33])
-    def test_equal_to_fresh_buffers(self, seed, start):
+    @pytest.mark.parametrize("count", [1, 20, 33, 64])
+    def test_equal_to_fresh_buffers(self, seed, count):
         seed = self.SEEDS[:, None] if seed == "column" else seed
         buffers = np.full((rng._NORMAL_BUFFER_ROWS, 5 * 64 + 3), np.nan)
-        rng.normals(99, 64, start=5, buffers=buffers)  # stale values to overwrite
-        got = rng.normals(seed, 64, start=start, buffers=buffers)
-        want = rng.normals(seed, 64, start=start)
+        rng.normals(99, 63, buffers=buffers)  # stale values to overwrite
+        got = rng.normals(seed, count, buffers=buffers)
+        want = rng.normals(seed, count)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         # the draws live in the first row; the others are free on return
@@ -277,22 +278,6 @@ class TestWords:
         got = rng.words(seed, 50, start=start)
         assert got.dtype == np.uint64
         assert got.tolist() == [rng.mix(seed, k) for k in range(start, start + 50)]
-
-    def test_seed_column_hashes_one_stream_per_row(self):
-        seeds = rng.words(2**63 + 99, 5)[:, None]
-        got = rng.words(seeds, 40, start=3)
-        assert got.shape == (5, 40)
-        for row, seed in zip(got, seeds[:, 0]):
-            assert row.tolist() == [rng.mix(int(seed), k) for k in range(3, 43)]
-
-    @pytest.mark.parametrize("draw", [rng.uniforms, rng.normals])
-    @pytest.mark.parametrize("start", [0, 17])
-    def test_seed_column_equals_stacked_scalar_calls(self, draw, start):
-        seeds = np.array([0, 1, 2**63, rng.MASK64, 3192346357569502190], dtype=np.uint64)
-        got = draw(seeds[:, None], 33, start=start)
-        want = np.stack([draw(int(seed), 33, start=start) for seed in seeds])
-        assert got.shape == want.shape
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @given(st.integers(min_value=0, max_value=rng.MASK64))

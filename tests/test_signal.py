@@ -119,7 +119,7 @@ class TestCatAverage:
     def test_identical_traces_average_to_themselves(self):
         trace = synth_fid([SpectralLine(0.1)], 32, 1.0)
         block = np.broadcast_to(trace.samples, (3, 32))
-        for shots in ([block], [trace.samples] * 3):
+        for shots in ([block], [trace.samples[None]] * 3, [block[:2], block[2:]]):
             averaged = cat_average(shots, 1.0)
             assert np.array_equal(averaged.samples, trace.samples)
 
@@ -134,15 +134,13 @@ class TestCatAverage:
             cat_snr(0, seed=5)  # no block of shots reaches the average
 
     def test_consumes_a_stream(self):
-        shots = [synth_fid([], 16, 1.0, noise_sigma=1.0, seed=s).samples for s in range(5)]
+        shots = [synth_fid([], 16, 1.0, noise_sigma=1.0, seed=s).samples[None] for s in range(5)]
         streamed = cat_average((shot for shot in shots), 1.0)
         assert np.array_equal(streamed.samples, cat_average(shots, 1.0).samples)
 
-    def test_rejects_mismatched_length(self):
-        with pytest.raises(errors.OutOfRange, match="all shots must share one length"):
-            cat_average([np.zeros((2, 16), dtype=complex), np.zeros(32, dtype=complex)], 1.0)
+    def test_rejects_bad_dwell(self):
         with pytest.raises(errors.OutOfRange, match="dwell"):
-            cat_average([np.zeros(16, dtype=complex)], 0.0)
+            cat_average([np.zeros((1, 16), dtype=complex)], 0.0)
 
     def test_blocks_add_rows_in_shot_order(self):
         # Large rows cancel only after the small ones were added to them, so
@@ -164,7 +162,7 @@ class TestCatAverage:
 
         want = loop_mean(rows)
         assert not np.array_equal(loop_mean(rows[::-1]), want)
-        blocks = [rows[:1], rows[1:8], rows[8:40], rows[40]]  # 1, 7, 32 rows, one (L,)
+        blocks = [rows[:24], rows[24:40], rows[40:]]  # 24, 16 and 1 rows
         assert np.array_equal(cat_average(blocks, 1.0).samples, want)
 
     def test_noise_rms_halves_at_four_averages(self):
@@ -175,7 +173,7 @@ class TestCatAverage:
                 synth_fid([], 64, 1.0, noise_sigma=1.0, seed=group * 10 + j)
                 for j in range(4)
             ]
-            averaged = cat_average([single.samples for single in singles], 1.0)
+            averaged = cat_average([np.stack([single.samples for single in singles])], 1.0)
             single_rms = np.sqrt(np.mean(np.abs(singles[0].samples) ** 2))
             avg_rms = np.sqrt(np.mean(np.abs(averaged.samples) ** 2))
             ratios.append(avg_rms / single_rms)
@@ -429,13 +427,34 @@ class TestBatchedCatMatchesPerShotSynthesis:
         addresses = []
         real_normals = rng.normals
 
-        def spy(seed, count, start=0, buffers=None):
+        def spy(seed, count, buffers=None):
             addresses.append(None if buffers is None else buffers.ctypes.data)
-            return real_normals(seed, count, start, buffers)
+            return real_normals(seed, count, buffers)
 
         monkeypatch.setattr(rng, "normals", spy)
         cat_snr(200, seed=5)
         assert len(addresses) > 2 and len(set(addresses)) == 1 and None not in addresses
+
+    def test_noisy_shots_are_built_in_the_normals_workspace(self, monkeypatch):
+        # each block of traces is its block of normals, scaled in place
+        drawn, averaged = [], []
+        real_blocks, real_average = rng.normal_blocks, signal.cat_average
+
+        def blocks(*args):
+            for draws in real_blocks(*args):
+                drawn.append(draws)
+                yield draws
+
+        def average(shots, dwell_s):
+            return real_average((averaged.append(rows) or rows for rows in shots), dwell_s)
+
+        monkeypatch.setattr(rng, "normal_blocks", blocks)
+        monkeypatch.setattr(signal, "cat_average", average)
+        cat_snr(60, seed=5)
+        assert len(averaged) == len(drawn) == 3
+        for rows, draws in zip(averaged, drawn):
+            assert rows.dtype == np.complex128 and rows.shape == (len(draws), 256)
+            assert np.shares_memory(rows, draws)
 
     def test_page_faults_do_not_grow_with_shots(self):
         # Buffers allocated per block are handed back to the system and
