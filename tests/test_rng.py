@@ -196,6 +196,20 @@ class TestNormalBlocks:
         assert peak < 2**20
 
 
+class TestWordBlocks:
+    @pytest.mark.parametrize("seed", [5, rng.MASK64])
+    @pytest.mark.parametrize("count", [0, 3, 8, 9])
+    def test_blocks_are_one_stream_in_one_buffer(self, seed, count):
+        # blocks past the first check the counter row's advance (and its wrap)
+        block, first, got = 4, None, []
+        for lo, words in zip(range(0, count, block), rng._word_blocks(seed, count, block), strict=True):
+            first = words if first is None else first
+            assert words.ctypes.data == first.ctypes.data  # one buffer, overwritten
+            assert words.dtype == np.uint64 and len(words) == min(block, count - lo)
+            got += words.tolist()
+        assert got == [rng.mix(seed, k) for k in range(count)]
+
+
 class TestPhasorKernel:
     """64-bit fixed-point turns t, phase 2*pi*t/2^64: the integer split into
     table index and residual, and each phasor against the exact one."""
