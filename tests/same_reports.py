@@ -8,9 +8,12 @@ directory of another checkout, usually the parent commit's), each run in its
 own empty temporary directory. It compares the exit code, stdout, stderr
 (with the per-statement wall times of `run` left out) and every file the
 command wrote, prints one line per command, and exits 1 if any of them
-differ. A change meant to keep every report byte-identical runs it by hand;
-pytest does not collect it, and a change that moves digits on purpose fails
-it.
+differ. The two sides run under different hash seeds (PYTHONHASHSEED 1 and
+2), so a report that hangs on set or dict order differs even between two
+copies of one tree. CI runs ``python tests/same_reports.py src``, this tree
+against itself; a change meant to keep every report byte-identical also runs
+it by hand against its parent's ``src``. pytest does not collect it, and a
+change that moves digits on purpose fails the comparison with its parent.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ COMMANDS = [
     ["cat", "--line", "600,1,inf"],  # refused: the line misses the peak window
     ["peak-sweep"],
     ["peak-sweep", "--qubits", "4", "--grid", "32"],
+    ["peak-sweep", "--qubits", "12", "--grid", "1000"],  # chunks of 4 rows
+    ["peak-sweep", "--qubits", "1", "--grid", "3"],  # one partial chunk
     ["budget"],
     ["qft-verify"],
 ]
@@ -44,9 +49,10 @@ COMMANDS = [
 _WALL_TIME = re.compile(rb"^(line \d+: \S+) \(\d+\.\d+s\)$", re.MULTILINE)
 
 
-def outcome(src: Path, args: list[str]) -> dict[str, object]:
+def outcome(src: Path, args: list[str], hash_seed: int) -> dict[str, object]:
     """Exit code, output streams and written files of one command."""
-    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONHASHSEED": str(hash_seed)}
     with tempfile.TemporaryDirectory() as tmp:
         done = subprocess.run([sys.executable, "-m", "spinwhiten", *args],
                               cwd=tmp, env=env, capture_output=True, check=False)
@@ -64,7 +70,7 @@ def main(argv: list[str]) -> int:
     trees = (HERE.parent / "src", Path(argv[1]).resolve())
     failed = 0
     for args in COMMANDS:
-        ours, theirs = (outcome(src, args) for src in trees)
+        ours, theirs = (outcome(src, args, seed) for seed, src in enumerate(trees, 1))
         differ = [key for key in ours if ours[key] != theirs[key]]
         failed += bool(differ)
         command = " ".join(Path(arg).name if arg.endswith(".pp") else arg for arg in args)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spinwhiten import errors
+from spinwhiten import errors, qft
 from spinwhiten.qft import (
     concentration_sweep,
     dft_matrix,
@@ -14,6 +14,7 @@ from spinwhiten.qft import (
     phase_encode,
     phase_encode_block,
     qft_circuit,
+    qubit_phasors,
 )
 from spinwhiten.statevector import (
     GateKind,
@@ -167,6 +168,17 @@ class TestPhaseEncode:
             tracemalloc.stop()
         assert peak < 17 * 2**20
 
+    def test_qubit_phasors_match_exact_turns(self):
+        # the reference forms 2*pi*f in long double (64-bit significand on
+        # x86-64): np.exp(2j * np.pi * f) rounds the double angle, which
+        # alone puts it up to 1.05e-15 from the kernel's phasors
+        gammas = np.random.default_rng(25).random(10_000)
+        turns = np.fmod(np.multiply.outer(gammas, 2.0 ** np.arange(24)), 1.0)
+        angles = 8 * np.arctan(np.longdouble(1)) * turns.astype(np.longdouble)
+        phasors = qubit_phasors(gammas, 24)
+        error = np.hypot(phasors.real - np.cos(angles), phasors.imag - np.sin(angles))
+        assert error.max() <= 1e-15
+
     def test_phase_sample_validation(self):
         with pytest.raises(ValueError):
             phase_encode(1.0, 3)
@@ -200,14 +212,18 @@ class TestPeakReadout:
 
 
 class TestConcentrationSweep:
-    def test_matches_single_state_path(self):
-        # two full chunks of (1 << 14) >> n rows and a partial third: the
-        # chunk buffer is reused, so the last rows must hold no stale ones
-        for n in (4, 8):
-            chunk = (1 << 14) >> n
-            grid = 2 * chunk + 3
+    @pytest.mark.parametrize("n", [1, 4, 8, 12])
+    def test_matches_single_state_path(self, n):
+        # the phasors come a group of whole chunks of (1 << 14) >> n rows at a
+        # time, and every chunk is encoded into the one reused buffer: rows on
+        # both sides of each chunk and group edge, and the last rows of a
+        # partial chunk or group, must hold no stale values
+        chunk = (1 << 14) >> n
+        group = chunk * max(1, qft._GROUP_TURNS // (chunk * n))
+        for grid in (chunk - 1, group - 1, group, group + 1, 2 * group + 3):
             gammas, argmax, peaks = concentration_sweep(n, grid)
-            for j in (0, chunk - 1, chunk, grid - 1):
+            edges = {0, grid - 1}.union(*({j - 1, j} for j in range(chunk, grid, chunk)))
+            for j in sorted(edges):
                 state = apply_circuit(phase_encode(gammas[j], n), qft_circuit(n, inverse=True))
                 outcome, prob = peak_readout(probabilities(state))
                 assert argmax[j] == outcome
@@ -236,17 +252,19 @@ class TestConcentrationSweep:
             concentration_sweep(4, 1)
 
     def test_default_sweep_allocation_peak(self):
-        # chunks of (1 << 14) >> n rows hold about 256 KiB of amplitudes
+        # chunks of (1 << 14) >> n rows hold about 256 KiB of amplitudes; the
+        # phasors of a 4096-turn group add a few hundred KiB (1.20 MiB in all;
+        # 8192-turn groups would read 1.67 MiB)
         tracemalloc.start()
         try:
             concentration_sweep(8, 10_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2**20
+        assert peak < 1.5 * 2**20
 
     def test_block_encoding_matches_scalar(self):
-        block = phase_encode_block(np.array([0.3, 0.7]), 3)
+        block = phase_encode_block(qubit_phasors(np.array([0.3, 0.7]), 3))
         np.testing.assert_allclose(block[0], phase_encode(0.3, 3).amps, atol=1e-15)
         np.testing.assert_allclose(block[1], phase_encode(0.7, 3).amps, atol=1e-15)
 
