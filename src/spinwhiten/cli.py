@@ -67,8 +67,9 @@ class CliConfig:
 
 
 def _read_text(path: Path | str, what: str) -> str:
+    """The file's UTF-8 text, a leading byte-order mark dropped."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise OutOfRange(f"{what} {path} is not UTF-8 text: {exc}") from exc
 

@@ -79,22 +79,14 @@ def uniform01(word: int) -> float:
     return (word >> 11) * _U53_SCALE
 
 
-def words(seed: int, count: int, start: int = 0) -> np.ndarray:
-    """Words start .. start+count-1 of the stream, vectorized, as uint64.
-
-    Equivalent to ``[mix(seed, k) for k in range(start, start+count)]``.
-    """
-    out = np.empty(count, dtype=np.uint64)
-    return _hash_into(seed, start, out, np.empty_like(out))
-
-
 def uniforms(seed: int, count: int, start: int = 0) -> np.ndarray:
     """Draws start .. start+count-1 of the stream, vectorized.
 
     Equivalent to ``[uniform01(mix(seed, k)) for k in range(start, start+count)]``
     but allocation-lean.
     """
-    z = words(seed, count, start)
+    z = np.empty(count, dtype=np.uint64)
+    _hash_into(seed, start, z, np.empty_like(z))
     z >>= np.uint64(11)
     return z * _U53_SCALE
 

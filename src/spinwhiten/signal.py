@@ -19,33 +19,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import fourier, rng
 from .errors import OutOfRange
-
-
-@dataclass
-class FidTrace:
-    """Complex time-domain acquisition: samples[j] at t = j * dwell_s."""
-
-    samples: np.ndarray = field(repr=False)
-    dwell_s: float = 1.0
-
-    def __post_init__(self):
-        if not fourier.is_power_of_two(len(self.samples)) or len(self.samples) < 2:
-            raise OutOfRange(f"trace length {len(self.samples)} is not a power of two >= 2")
-        _check_dwell(self.dwell_s)
-
-
-@dataclass
-class Spectrum:
-    """Discrete transform of a trace; bin k sits at k / (L * dwell) Hz."""
-
-    bins: np.ndarray = field(repr=False)
-    bin_width_hz: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -63,18 +42,6 @@ class SpectralLine:
             raise OutOfRange(f"amplitude must be finite and >= 0, got {self.amp}")
         if not self.t2_s > 0:
             raise OutOfRange(f"T2 must be > 0, got {self.t2_s}")
-
-
-@dataclass(frozen=True)
-class SnrReport:
-    peak_mag: float
-    noise_rms: float
-    snr: float
-
-
-def _check_dwell(dwell_s: float) -> None:
-    if not (math.isfinite(dwell_s) and dwell_s > 0):
-        raise OutOfRange(f"dwell must be finite and > 0, got {dwell_s}")
 
 
 def _check_noise_sigma(noise_sigma: float) -> None:
@@ -98,8 +65,8 @@ def synth_fid(
     dwell_s: float,
     noise_sigma: float = 0.0,
     seed: int = 0,
-) -> FidTrace:
-    """Sum of decaying phasors plus complex Gaussian noise.
+) -> np.ndarray:
+    """Complex samples s(t_j), t_j = j * dwell_s: decaying phasors plus noise.
 
     s(t_j) = sum_l A_l exp(2*pi*i*nu_l*t_j) exp(-t_j / T2_l) + noise, with
     independent Gaussian noise of std `noise_sigma` on each of the real and
@@ -109,7 +76,8 @@ def synth_fid(
     if not fourier.is_power_of_two(length) or length < 2:
         raise OutOfRange(f"trace length {length} is not a power of two >= 2")
     _check_noise_sigma(noise_sigma)
-    _check_dwell(dwell_s)
+    if not (math.isfinite(dwell_s) and dwell_s > 0):
+        raise OutOfRange(f"dwell must be finite and > 0, got {dwell_s}")
     nyquist = 0.5 / dwell_s
     t = np.arange(length) * dwell_s
     samples = np.zeros(length, dtype=np.complex128)
@@ -122,15 +90,15 @@ def synth_fid(
         samples += line.amp * decay * np.exp(2j * np.pi * line.freq_hz * t)
     if noise_sigma > 0:
         samples = _noisy(rng.normals(seed, 2 * length), samples, noise_sigma)
-    return FidTrace(samples, dwell_s)
+    return samples
 
 
-def fft(trace: FidTrace) -> Spectrum:
-    """Forward transform (unnormalized) into the frequency domain."""
-    return Spectrum(fourier.fft_forward(trace.samples), 1.0 / (len(trace.samples) * trace.dwell_s))
+def fft(samples: np.ndarray) -> np.ndarray:
+    """Forward transform (unnormalized): bin k sits at k / (L * dwell) Hz."""
+    return fourier.fft_forward(samples)
 
 
-def cat_average(shots: Iterable[np.ndarray], dwell_s: float) -> FidTrace:
+def cat_average(shots: Iterable[np.ndarray]) -> np.ndarray:
     """Pointwise arithmetic mean of repeated acquisitions.
 
     `shots` yields (B, L) blocks of traces, none longer than the first,
@@ -152,14 +120,14 @@ def cat_average(shots: Iterable[np.ndarray], dwell_s: float) -> FidTrace:
         count += len(rows)
     if not count:
         raise OutOfRange("cat_average needs at least one trace")
-    return FidTrace((stack[0] / count).astype(np.complex128), dwell_s)
+    return (stack[0] / count).astype(np.complex128)
 
 
 def estimate_snr(
-    spectrum: Spectrum,
+    bins: np.ndarray,
     peak_window: tuple[int, int],
     noise_window: tuple[int, int],
-) -> SnrReport:
+) -> float:
     """Peak magnitude over a window divided by noise RMS over another.
 
     Windows are half-open bin ranges [start, stop); they must be non-empty,
@@ -169,7 +137,7 @@ def estimate_snr(
     rounding leaves about 3e-16 of the peak in every bin, so such a floor
     measures rounding, not noise.
     """
-    mags = np.abs(spectrum.bins)
+    mags = np.abs(bins)
     for name, (start, stop) in (("peak", peak_window), ("noise", noise_window)):
         if stop <= start:
             raise OutOfRange(f"{name} window [{start}, {stop}) is empty")
@@ -186,7 +154,7 @@ def estimate_snr(
     if noise_rms <= 64 * np.finfo(np.float64).eps * peak_mag:
         raise OutOfRange(f"noise window RMS {noise_rms:g} is rounding error "
                          f"of the peak {peak_mag:g}, not noise")
-    return SnrReport(peak_mag, noise_rms, peak_mag / noise_rms)
+    return peak_mag / noise_rms
 
 
 # --- spin budget and enhancement bookkeeping --------------------------------
@@ -294,22 +262,19 @@ def cat_snr(
     seed=rng.mix(seed, j))``, but the clean line is synthesized once, and
     the normals of _CAT_SHOT_BLOCK shots come as one block of
     `rng.normal_blocks`, turned into noisy traces in place, which
-    `cat_average` consumes. No array grows with n_shots, no trace object per
-    shot is built, and without noise the shots are the clean line itself. A
-    line whose bin, round(freq * length * dwell) mod length, misses
-    DEFAULT_PEAK_WINDOW or lands in DEFAULT_NOISE_WINDOW raises OutOfRange
-    before any shot is drawn.
+    `cat_average` consumes. No array grows with n_shots, and without noise
+    the shots are the clean line itself. A line whose bin,
+    round(freq * length * dwell) mod length, misses DEFAULT_PEAK_WINDOW or
+    lands in DEFAULT_NOISE_WINDOW raises OutOfRange before any shot is drawn.
     """
     _check_noise_sigma(noise_sigma)
     # overflow near the float limit is refused by estimate_snr, not warned of
     with np.errstate(over="ignore", invalid="ignore"):
-        clean = synth_fid([line], length, dwell_s).samples
+        clean = synth_fid([line], length, dwell_s)
         _check_line_bin(line, length, dwell_s)
         shots = (_noisy(draws, clean, noise_sigma) for draws
                  in rng.normal_blocks(seed, n_shots, 2 * length, _CAT_SHOT_BLOCK))
-        spectrum = fft(cat_average(shots, dwell_s))
-        report = estimate_snr(spectrum, DEFAULT_PEAK_WINDOW, DEFAULT_NOISE_WINDOW)
-    return report.snr
+        return estimate_snr(fft(cat_average(shots)), DEFAULT_PEAK_WINDOW, DEFAULT_NOISE_WINDOW)
 
 
 def _check_line_bin(line: SpectralLine, length: int, dwell_s: float) -> None:

@@ -185,8 +185,8 @@ def explicit_cat_average(n_shots: int, seed: int, line, noise_sigma: float,
     ]
     total = np.zeros(length, dtype=np.clongdouble)
     for trace in traces:
-        total += trace.samples
-    return signal.FidTrace((total / n_shots).astype(np.complex128), dwell_s)
+        total += trace
+    return (total / n_shots).astype(np.complex128)
 
 
 def explicit_cat_snr(n_shots: int, seed: int, line, noise_sigma: float,
@@ -197,4 +197,4 @@ def explicit_cat_snr(n_shots: int, seed: int, line, noise_sigma: float,
     averaged = explicit_cat_average(n_shots, seed, line, noise_sigma, length, dwell_s)
     return signal.estimate_snr(
         signal.fft(averaged), signal.DEFAULT_PEAK_WINDOW, signal.DEFAULT_NOISE_WINDOW
-    ).snr
+    )

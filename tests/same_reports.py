@@ -37,6 +37,9 @@ COMMANDS = [
     ["cat", "--seeds", "3"],
     ["cat", "--noise", "0", "--line", "125,1,0.05", "--n-list", "1,2,4096", "--seeds", "2"],
     ["cat", "--line", "600,1,inf"],  # refused: the line misses the peak window
+    ["cat", "--noise", "0"],  # refused: the noise window holds only rounding
+    # refused: the noise window lies outside a 64-bin spectrum
+    ["cat", "--length", "64", "--line", "468.75,1,0.02", "--n-list", "1,2", "--seeds", "1"],
     ["peak-sweep"],
     ["peak-sweep", "--qubits", "4", "--grid", "32"],
     ["peak-sweep", "--qubits", "12", "--grid", "1000"],  # chunks of 4 rows

@@ -24,6 +24,7 @@ CANONICAL = (
     "iqft r\n"
     "acquire shots=4096\n"
 )
+BOM = b"\xef\xbb\xbf"  # UTF-8 byte-order mark, as some editors save files
 
 
 def run_cli(*args, cwd, timeout=None):
@@ -298,6 +299,14 @@ class TestConfigFile:
         assert result.returncode == 0
         assert json.loads((tmp_path / "r.json").read_text())["master_seed"] == 9
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        (tmp_path / "spinwhiten.conf").write_bytes(BOM + b"master_seed=5\n")
+        (tmp_path / "demo.pp").write_text(CANONICAL)
+        result = run_cli("run", "demo.pp", "--ensemble-size", "10", "--out", "r.json",
+                         cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert json.loads((tmp_path / "r.json").read_text())["master_seed"] == 5
+
     def test_unknown_key_rejected(self, tmp_path):
         (tmp_path / "spinwhiten.conf").write_text("volume=11\n")
         result = run_cli("budget", cwd=tmp_path)
@@ -442,6 +451,20 @@ def test_acquire_over_the_shot_limit_exits_two_at_once(tmp_path):
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 BLAS_THREADS = "OPENBLAS_NUM_THREADS"
+
+
+def test_program_with_byte_order_mark_writes_the_same_report(tmp_path):
+    # one file name in two directories, since the report names its source
+    source = (GOLDEN_DIR / "p01_canonical.pp").read_bytes()
+    reports = []
+    for name, prefix in (("plain", b""), ("bom", BOM)):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "p01.pp").write_bytes(prefix + source)
+        result = run_cli("run", "p01.pp", "--seed", "3", "--ensemble-size", "1000",
+                         "--out", "report.json", cwd=tmp_path / name)
+        assert result.returncode == 0, result.stderr
+        reports.append((tmp_path / name / "report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def run_python(script, cwd=None, **env_changes):

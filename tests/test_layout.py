@@ -135,6 +135,39 @@ def test_the_check_sees_unused_public_names():
     assert _unused_public_names(trees) == ["f", "m"]
 
 
+def _dataclass_fields(tree: ast.Module) -> list[str]:
+    """"Class.field" for each annotated field of the top-level dataclasses."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                for d in node.decorator_list):
+            found += [f"{node.name}.{item.target.id}" for item in node.body
+                      if isinstance(item, ast.AnnAssign)]
+    return found
+
+
+def _unread_fields(trees: list[ast.Module]) -> list[str]:
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted(name for tree in trees for name in _dataclass_fields(tree)
+                  if name.split(".")[1] not in read)
+
+
+def test_every_dataclass_field_is_read_in_the_package():
+    trees = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in SOURCES]
+    assert _unread_fields(trees) == []
+
+
+def test_the_check_sees_unread_fields():
+    trees = [ast.parse("@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int\n"
+                       "@dataclass\nclass B:\n    z: int = 0\n    w: int = 0\n"
+                       "@functools.total_ordering\nclass C:\n    v: int\n"),
+             ast.parse("def f(a, b):\n    b.w = a.x\n")]
+    assert _unread_fields(trees) == ["A.y", "B.w", "B.z"]
+
+
 def _unused_imports(tree: ast.Module) -> list[str]:
     """Names an import binds that the module never loads."""
     bound = []

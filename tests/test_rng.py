@@ -220,7 +220,7 @@ class TestPhasorKernel:
         return np.concatenate([
             np.array(self.EDGES, dtype=np.uint64),
             _random_turns(16, 3000),
-            rng.words(7, 1000) & ~np.uint64(0x7FF),  # whitening turns
+            next(rng._word_blocks(7, 1000, 1000)) & ~np.uint64(0x7FF),  # whitening turns
         ])
 
     def test_integer_split(self):
@@ -273,7 +273,7 @@ class TestPhasorKernel:
 
     def test_buffered_call_allocates_no_output_sized_temporary(self):
         count = 12_288  # one 24-shot `cat` block of 256 samples
-        turns = rng.words(5, count)
+        turns = next(rng._word_blocks(5, count, count))
         buffers = np.empty((rng._PHASOR_BUFFER_ROWS, count))
         rng.phasor_factors(turns, buffers)
         tracemalloc.start()
@@ -289,9 +289,9 @@ class TestWords:
     @pytest.mark.parametrize("seed", [0, 987654321, 2**63 + 7, rng.MASK64])
     @pytest.mark.parametrize("start", [0, 1, 1000])
     def test_words_match_mix(self, seed, start):
-        got = rng.words(seed, 50, start=start)
-        assert got.dtype == np.uint64
-        assert got.tolist() == [rng.mix(seed, k) for k in range(start, start + 50)]
+        # each draw is its word's top 53 bits over 2^53, exactly
+        top53 = rng.uniforms(seed, 50, start=start) * 2.0**53
+        assert top53.tolist() == [rng.mix(seed, k) >> 11 for k in range(start, start + 50)]
 
 
 @given(st.integers(min_value=0, max_value=rng.MASK64))
