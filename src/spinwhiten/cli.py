@@ -67,9 +67,10 @@ class CliConfig:
 
 
 def _read_text(path: Path | str, what: str) -> str:
-    """The file's UTF-8 text, a leading byte-order mark dropped."""
+    """The file's UTF-8 text, a leading byte-order mark dropped after
+    decoding, so a decode error's position is the file offset."""
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise OutOfRange(f"{what} {path} is not UTF-8 text: {exc}") from exc
 

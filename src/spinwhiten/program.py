@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 from typing import NoReturn, Union
 
 import numpy as np
@@ -278,25 +278,44 @@ class RunReport:
 _SHOT_BLOCK = 1 << 16
 
 
-def _sample_outcomes(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    """Histogram of `shots` draws from probs via the counter-based stream;
+def _sample_outcomes(probs: np.ndarray, scratch: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """Histogram of `shots` draws from probs via the counter-based stream,
+    counted in `scratch` (8 B per outcome, as `probabilities` returns it);
     probs is overwritten by its cumulative sum.
 
     Shot k draws uniform k of the seed's stream, a pure function of (seed,
     k), so the shots are drawn _SHOT_BLOCK at a time and each block's
     outcomes are counted into one histogram with `np.add.at`: the histogram
     equals the one drawn all at once, memory stays flat in shots, and no
-    block builds a histogram of its own.
+    block builds a histogram of its own. Each block's draws are sorted in
+    place first, so the searches walk the cumulative sum in order; sorting
+    only permutes the draws, so the counts are the same.
     """
     cum = np.cumsum(probs, out=probs)
-    counts = np.zeros(len(cum), dtype=np.intp)
+    counts = scratch.view(np.intp)
+    counts.fill(0)
     for start in range(0, shots, _SHOT_BLOCK):
         draws = rng.uniforms(seed, min(_SHOT_BLOCK, shots - start), start)
         draws *= cum[-1]  # scale absorbs rounding in the total
+        draws.sort()
         outcomes = np.searchsorted(cum, draws, side="right")
         np.clip(outcomes, 0, len(cum) - 1, out=outcomes)
         np.add.at(counts, outcomes, 1)
     return counts
+
+
+def _read_again(statements: tuple[Statement, ...], register: str) -> bool:
+    """Whether a statement reads `register` again before an encode replaces
+    it: a transform of it, or an acquire while it is the active register."""
+    active = register
+    for stmt in statements:
+        if isinstance(stmt, (Encode, Qft, Iqft)):
+            if stmt.register == register:
+                return not isinstance(stmt, Encode)
+            active = stmt.register
+        elif isinstance(stmt, Acquire) and active == register:
+            return True
+    return False
 
 
 def execute(
@@ -314,7 +333,10 @@ def execute(
     the whiten statement pins one); encode reads the representative phase
     fraction — spin 0 of the most recently whitened ensemble — into a fresh
     register; qft/iqft transform the register; acquire samples the most
-    recently touched register.
+    recently touched register. The readout spends the register's buffer
+    (`statevector.probabilities`), so an acquire reads out a copy when a
+    later statement reads the same register: a transform of it, or an
+    acquire while it is still the active register.
     """
     check(program, max_qubits)
     if ensemble_size < 1:
@@ -336,7 +358,7 @@ def execute(
         receiver=receiver,
     )
 
-    for stmt in program.statements:
+    for position, stmt in enumerate(program.statements, start=1):
         started = time.perf_counter()
         if isinstance(stmt, Pulse90):
             seed = rng.derive(master_seed, f"ensemble:{stmt.target}")
@@ -369,11 +391,14 @@ def execute(
             detail = f"register {stmt.register}, {len(circuit.gates)} gates"
         else:  # Acquire
             state = registers[active_register]
-            probs = probabilities(state)
+            # the readout spends the register: a later read needs a copy
+            if _read_again(program.statements[position:], active_register):
+                state = replace(state, amps=state.amps.copy())
+            probs, scratch = probabilities(state)
             report.peak = peak_readout(probs)  # before sampling overwrites probs
             seed = rng.derive(master_seed, f"acquire:{acquire_index}")
             acquire_index += 1
-            counts = _sample_outcomes(probs, stmt.shots, seed)
+            counts = _sample_outcomes(probs, scratch, stmt.shots, seed)
             report.shots += stmt.shots
             if report.histogram is None:
                 report.histogram = counts

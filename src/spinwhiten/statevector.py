@@ -42,6 +42,12 @@ moves each bit on its own, so it splits into two tables of at most
 2**ceil(n / 2) entries over the high and low halves of the index
 (`index_tables`); `probabilities`, `dense_matrix` and
 `qft.concentration_sweep` all gather through them.
+
+`probabilities` spends the register: it reads the register out inside the
+amplitude buffer, whose 2**(n+1) float64 halves hold the squares in memory
+order and then the probabilities in natural order, and hands the caller the
+first half as scratch. A spent register raises when it is read again, so a
+caller that reads the state after its readout copies it first.
 """
 
 from __future__ import annotations
@@ -144,16 +150,23 @@ class StateVector:
     Memory axis p of `amps` holds qubit order[p]; the default order is the
     identity, natural order. `apply_circuit` rewrites `amps` and `order` of
     the register it is given, so a caller that needs the input state again
-    copies it first.
+    copies it first. `probabilities` spends it: its buffer no longer holds
+    amplitudes, and reading it again raises.
     """
 
     num_qubits: int
     amps: np.ndarray = field(repr=False)
     order: tuple[int, ...] = ()
+    spent: bool = False
 
     def __post_init__(self):
         if not self.order:
             self.order = tuple(range(self.num_qubits))
+
+
+def _check_live(state: StateVector) -> None:
+    if state.spent:
+        raise OutOfRange("register was spent by its readout; copy it first to read it again")
 
 
 # --- the register engine -----------------------------------------------------
@@ -400,29 +413,43 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
         raise OutOfRange(
             f"circuit has {circuit.num_qubits} qubits, state has {state.num_qubits}"
         )
+    _check_live(state)
     schedule, order = compile_circuit(circuit, state.order)
     schedule.apply(state.amps[np.newaxis, :])
     state.order = order
     return state
 
 
-def probabilities(state: StateVector) -> np.ndarray:
+def probabilities(state: StateVector) -> tuple[np.ndarray, np.ndarray]:
     """Born-rule outcome distribution |amp_x|^2 over all 2**n basis states,
-    in natural order whatever the register's order.
+    in natural order whatever the register's order, and a float64 scratch
+    array of the same length; both live in the register's buffer, which
+    they spend.
 
-    The amplitudes are gathered through `index_tables` about 2**14 at a
-    time, straight into the float64 output, so no second state-size array
-    is made.
+    The float64 view of the amplitudes has two halves of 2**n values. The
+    squares are written in memory order into the first half, 2**14 at a
+    time, each tile after its amplitudes are read; they are then gathered
+    through `index_tables` into the second half, which is returned with the
+    first half as scratch. No second state-size array is made.
     """
+    _check_live(state)
+    state.spent = True
+    size = state.amps.size
+    parts = state.amps.view(np.float64)  # re, im of amplitude i at 2i, 2i + 1
+    squares, probs = parts.reshape(2, size)
+    width = min(_SCRATCH_AMPS, size)
+    tile = np.empty(2 * width)
+    for start in range(0, size, width):
+        np.square(parts[2 * start : 2 * (start + width)], out=tile)
+        # the tile's squares overwrite only amplitudes read by now
+        np.add(tile[0::2], tile[1::2], out=squares[start : start + width])
     high, low = index_tables(state.order)
-    out = np.empty(state.amps.size, dtype=np.float64)
     rows = max(1, _SCRATCH_AMPS // low.size)
     for r in range(0, high.size, rows):
-        tile = state.amps[(high[r : r + rows, np.newaxis] | low).ravel()]
-        probs = out[r * low.size : r * low.size + tile.size]
-        np.multiply(tile.real, tile.real, out=probs)
-        probs += tile.imag * tile.imag
-    return out
+        index = (high[r : r + rows, np.newaxis] | low).ravel()
+        # every index is in range; "wrap" gathers straight into probs
+        np.take(squares, index, out=probs[r * low.size : r * low.size + index.size], mode="wrap")
+    return probs, squares
 
 
 def dense_matrix(circuit: Circuit) -> np.ndarray:

@@ -7,10 +7,10 @@ this checkout's ``src`` on PYTHONPATH and once with PARENT_SRC (the ``src``
 directory of another checkout, usually the parent commit's), each run in its
 own empty temporary directory. It compares the exit code, stdout, stderr
 (with the per-statement wall times of `run` left out) and every file the
-command wrote, prints one line per command, and exits 1 if any of them
-differ. The two sides run under different hash seeds (PYTHONHASHSEED 1 and
-2), so a report that hangs on set or dict order differs even between two
-copies of one tree. CI runs ``python tests/same_reports.py src``, this tree
+command wrote (the programs of PROGRAMS, written there first, left out),
+prints one line per command, and exits 1 if any of them differ. The two
+sides run under different hash seeds (PYTHONHASHSEED 1 and 2), so a report
+that hangs on set or dict order differs even between two copies of one tree. CI runs ``python tests/same_reports.py src``, this tree
 against itself; a change meant to keep every report byte-identical also runs
 it by hand against its parent's ``src``. pytest does not collect it, and a
 change that moves digits on purpose fails the comparison with its parent.
@@ -29,9 +29,18 @@ HERE = Path(__file__).resolve().parent
 GOLDEN = sorted((HERE / "golden").glob("*.pp"))
 CANONICAL = str(HERE / "golden" / "p01_canonical.pp")
 GOLDEN_ARGS = ["--seed", "3", "--ensemble-size", "100000"]
+# Programs beside the golden corpus, written into each command's directory:
+# a 20-qubit register read out at a non-dyadic phase (a many-bin histogram),
+# and a register read again after an acquire (its readout reads a copy).
+PROGRAMS = {
+    "wide_non_dyadic.pp": "pulse90 t\nwhiten t\nencode r 20\niqft r\nacquire shots=100000\n",
+    "read_after_acquire.pp": ("pulse90 t\nwhiten t\nencode r 5\niqft r\nacquire shots=1000\n"
+                              "acquire shots=500\nqft r\nacquire shots=700\n"),
+}
 
 COMMANDS = [
     *(["run", str(path), *GOLDEN_ARGS] for path in GOLDEN),
+    *(["run", name, *GOLDEN_ARGS] for name in PROGRAMS),
     ["run", CANONICAL, *GOLDEN_ARGS, "--format", "csv"],
     ["run", CANONICAL, "--seed", "7"],
     ["cat", "--seeds", "3"],
@@ -57,10 +66,13 @@ def outcome(src: Path, args: list[str], hash_seed: int) -> dict[str, object]:
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1",
            "PYTHONHASHSEED": str(hash_seed)}
     with tempfile.TemporaryDirectory() as tmp:
+        for name, text in PROGRAMS.items():
+            (Path(tmp) / name).write_text(text, encoding="utf-8")
         done = subprocess.run([sys.executable, "-m", "spinwhiten", *args],
                               cwd=tmp, env=env, capture_output=True, check=False)
         files = {path.relative_to(tmp).as_posix(): path.read_bytes()
-                 for path in sorted(Path(tmp).rglob("*")) if path.is_file()}
+                 for path in sorted(Path(tmp).rglob("*"))
+                 if path.is_file() and path.name not in PROGRAMS}
     return {"exit code": done.returncode, "stdout": done.stdout,
             "stderr": _WALL_TIME.sub(rb"\1", done.stderr), "files": files}
 

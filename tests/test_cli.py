@@ -351,6 +351,21 @@ class TestUnreadableInput:
         assert result.stdout == ""
 
 
+@pytest.mark.parametrize("prefix", [b"", BOM])
+def test_decode_error_names_the_file_offset(tmp_path, prefix):
+    # the byte-order mark is dropped after decoding, so it counts in the position
+    from spinwhiten import cli
+    from spinwhiten.errors import OutOfRange
+
+    path = tmp_path / "bad.pp"
+    path.write_bytes(prefix + b"pulse90 t\n\xff\n")
+    with pytest.raises(OutOfRange) as info:
+        cli._read_text(path, "program")
+    assert str(info.value) == (
+        f"program {path} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
+        f"in position {len(prefix) + 10}: invalid start byte")
+
+
 class TestOwnUsageErrors:
     """A bad value that the program itself rejects (not click's flag checks)
     prints exactly one Error line, with no usage lines before it."""

@@ -154,7 +154,7 @@ class TestPhaseEncode:
     @pytest.mark.parametrize("n,k", [(2, 1), (3, 3), (5, 17), (8, 200)])
     def test_inverse_transform_recovers_dyadic_index(self, n, k):
         state = apply_circuit(phase_encode(k / (1 << n), n), qft_circuit(n, inverse=True))
-        outcome, prob = peak_readout(probabilities(state))
+        outcome, prob = peak_readout(probabilities(state)[0])
         assert outcome == k
         assert prob >= 1 - 1e-12
 
@@ -189,26 +189,26 @@ class TestPhaseEncode:
 class TestPeakReadout:
     def test_exact_dyadic_case(self):
         state = apply_circuit(phase_encode(3 / 8, 3), qft_circuit(3, inverse=True))
-        outcome, prob = peak_readout(probabilities(state))
+        outcome, prob = peak_readout(probabilities(state)[0])
         assert outcome == 3
         assert prob == pytest.approx(1.0, abs=1e-12)
 
     def test_tie_breaks_toward_smaller_index(self):
         state = phase_encode(0.0, 2)  # uniform: all outcomes tie at 0.25
-        assert peak_readout(probabilities(state)) == (0, pytest.approx(0.25, abs=1e-15))
+        assert peak_readout(probabilities(state)[0]) == (0, pytest.approx(0.25, abs=1e-15))
 
     def test_rounding_noise_does_not_break_a_tie(self):
         # qft then iqft gives back a uniform distribution, up to rounding
         state = phase_encode(0.3, 5)
         state = apply_circuit(apply_circuit(state, qft_circuit(5)), qft_circuit(5, inverse=True))
-        probs = probabilities(state)
+        probs = probabilities(state)[0]
         assert np.ptp(probs) > 0  # not bit-exact, so a plain argmax is noise
         assert peak_readout(probs) == (0, pytest.approx(1 / 32, rel=1e-12))
 
     def test_non_tie_follows_rounding_rule(self):
         gamma, n = 0.3, 4
         state = apply_circuit(phase_encode(gamma, n), qft_circuit(n, inverse=True))
-        assert peak_readout(probabilities(state))[0] == round(gamma * (1 << n))
+        assert peak_readout(probabilities(state)[0])[0] == round(gamma * (1 << n))
 
 
 class TestConcentrationSweep:
@@ -225,7 +225,7 @@ class TestConcentrationSweep:
             edges = {0, grid - 1}.union(*({j - 1, j} for j in range(chunk, grid, chunk)))
             for j in sorted(edges):
                 state = apply_circuit(phase_encode(gammas[j], n), qft_circuit(n, inverse=True))
-                outcome, prob = peak_readout(probabilities(state))
+                outcome, prob = peak_readout(probabilities(state)[0])
                 assert argmax[j] == outcome
                 assert peaks[j] == pytest.approx(prob, rel=1e-12)
 
@@ -236,7 +236,7 @@ class TestConcentrationSweep:
         gammas, argmax, peaks = concentration_sweep(n, grid)
         for j in range(1, grid, 2):
             state = apply_circuit(phase_encode(gammas[j], n), qft_circuit(n, inverse=True))
-            outcome, prob = peak_readout(probabilities(state))
+            outcome, prob = peak_readout(probabilities(state)[0])
             assert argmax[j] == outcome
             assert peaks[j] == pytest.approx(prob, rel=1e-12)
         assert argmax[1::2].tolist() == [*range(15), 0]
@@ -280,14 +280,14 @@ class TestClosedFormDistribution:
         gamma = ((5 << (n - 4)) + 3) / (1 << n)
         state = apply_circuit(phase_encode(gamma, n), qft_circuit(n, inverse=True))
         expected = phase_estimation_distribution(gamma, n)
-        assert np.abs(probabilities(state) - expected).max() <= 1e-12
+        assert np.abs(probabilities(state)[0] - expected).max() <= 1e-12
 
     @pytest.mark.parametrize("n", [12, 16, 20, 22])
     @pytest.mark.parametrize("gamma", [1 / 3, 0.3, 0.999999])
     def test_non_dyadic_phase(self, n, gamma):
         state = apply_circuit(phase_encode(gamma, n), qft_circuit(n, inverse=True))
         expected = phase_estimation_distribution(gamma, n)
-        assert np.abs(probabilities(state) - expected).max() <= 1e-12
+        assert np.abs(probabilities(state)[0] - expected).max() <= 1e-12
 
     @pytest.mark.parametrize("n", [1, 3, 12, 16, 20, 22])
     @pytest.mark.parametrize("gamma", [1 / 3, 0.3, 0.999999])

@@ -161,17 +161,29 @@ class TestApplyCircuit:
 
 class TestProbabilities:
     def test_ground_state(self):
-        assert probabilities(basis_state(1, 0)).tolist() == [1, 0]
+        assert probabilities(basis_state(1, 0))[0].tolist() == [1, 0]
 
     def test_uniform_superposition(self):
         state = basis_state(2, 0)
         for q in range(2):
             state = _apply_one(state, GateOp.hadamard(q))
-        np.testing.assert_allclose(probabilities(state), [0.25] * 4, atol=1e-15)
+        np.testing.assert_allclose(probabilities(state)[0], [0.25] * 4, atol=1e-15)
 
     def test_sums_to_one(self):
         state = _random_state(4, seed=3)
-        assert abs(probabilities(state).sum() - 1.0) <= 1e-9
+        assert abs(probabilities(state)[0].sum() - 1.0) <= 1e-9
+
+    def test_readout_spends_the_register(self):
+        # both halves live in the state's buffer; reading it again raises
+        state = _random_state(4, seed=4)
+        probs, scratch = probabilities(state)
+        assert np.shares_memory(probs, state.amps) and np.shares_memory(scratch, state.amps)
+        assert not np.shares_memory(probs, scratch)
+        assert probs.size == scratch.size == 16
+        with pytest.raises(errors.OutOfRange, match="spent"):
+            probabilities(state)
+        with pytest.raises(errors.OutOfRange, match="spent"):
+            apply_circuit(state, Circuit(4, (GateOp.hadamard(0),)))
 
     @pytest.mark.parametrize("n", [1, 2, 7, 15])
     def test_reads_natural_order_from_any_record(self, n):
@@ -181,7 +193,7 @@ class TestProbabilities:
         state.order = tuple(int(q) for q in np.random.default_rng(n).permutation(n))
         natural = natural_amps(state)
         assert np.array_equal(state.amps[memory_index(state.order)], natural)
-        assert np.array_equal(probabilities(state), natural.real ** 2 + natural.imag ** 2)
+        assert np.array_equal(probabilities(state)[0], natural.real ** 2 + natural.imag ** 2)
 
 
 class TestDenseMatrix:
