@@ -13,11 +13,11 @@ and class has one name, its module path (``spinwhiten.rng.phasor_sum``).
 import os
 import sys
 
-# OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads it. No matrix
-# product here is large enough to use a second thread, yet an idle worker
-# spins a second core for about 0.1 s after the import. So load numpy with
-# one BLAS thread, then drop the variable again, so that neither later code
-# nor child processes inherit it. A value set by the user is left alone.
+# OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads it. A second
+# thread splits the window GEMMs for no wall time at twice the CPU time, and
+# an idle worker spins a core for about 0.1 s after the import. So load numpy
+# with one BLAS thread, then drop the variable, so that neither later code nor
+# child processes inherit it. A value set by the user is left alone.
 if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:

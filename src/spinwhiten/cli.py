@@ -28,7 +28,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import signal as sig
+from . import rng, signal as sig
 from .errors import OutOfRange, ProtocolError, QubitCountExceeded, SpinWhitenError
 from .program import MAX_SHOTS, execute, parse
 from .qft import concentration_sweep, dft_matrix, qft_circuit
@@ -63,7 +63,14 @@ class CliConfig:
             raise OutOfRange("default_ensemble_size must be >= 1")
         if self.output_format not in ("csv", "json"):
             raise OutOfRange(f"unknown output_format {self.output_format!r}")
+        _check_seed("master_seed", self.master_seed)
         return self
+
+
+def _check_seed(name: str, seed: int) -> int:
+    if not 0 <= seed <= rng.MASK64:  # streams read seeds mod 2^64, as for the DSL's seed=
+        raise OutOfRange(f"{name} must lie in [0, 2^64), got {seed}")
+    return seed
 
 
 def _read_text(path: Path | str, what: str) -> str:
@@ -180,7 +187,7 @@ def cmd_run(cfg: CliConfig, program_path: str, seed: int | None,
             ensemble_size: int | None, out_path: str | None,
             output_format: str | None):
     """Execute a pulse program and write its run report."""
-    seed = cfg.master_seed if seed is None else seed
+    seed = cfg.master_seed if seed is None else _check_seed("--seed", seed)
     ensemble_size = cfg.default_ensemble_size if ensemble_size is None else ensemble_size
     output_format = output_format or cfg.output_format
     program = parse(_read_text(program_path, "program"), source_name=program_path)
@@ -251,7 +258,7 @@ def cmd_cat(cfg: CliConfig, n_list: str, seeds: int, line_spec: str, noise: floa
     if samples > MAX_SHOTS:
         raise OutOfRange(f"{samples} samples (--seeds times the --n-list total times "
                          f"--length) exceed the limit of {MAX_SHOTS}")
-    seed = cfg.master_seed if seed is None else seed
+    seed = cfg.master_seed if seed is None else _check_seed("--seed", seed)
     rows = sig.cat_experiment(
         counts, seeds, master_seed=seed,
         line=sig.SpectralLine(freq, amp, t2),

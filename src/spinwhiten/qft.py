@@ -23,6 +23,7 @@ from .rng import phasor_factors
 from .statevector import (
     ABSOLUTE_MAX_QUBITS,
     ORACLE_MAX_QUBITS,
+    TILE_AMPS,
     Circuit,
     GateOp,
     StateVector,
@@ -130,9 +131,13 @@ def peak_readout(probs: np.ndarray) -> tuple[int, float]:
 
     Every outcome within 1e-12 of the largest probability, relative, counts
     as tied, so rounding noise in the amplitudes cannot pick the winner of an
-    exact tie (a uniform distribution reads out index 0).
+    exact tie (a uniform distribution reads out index 0). The search reads
+    TILE_AMPS outcomes at a time, so it makes no mask of the whole array.
     """
-    outcome = int(_peak_indices(probs))
+    tied = probs.max() * (1.0 - _TIE_RTOL)
+    starts = range(0, len(probs), TILE_AMPS)
+    start = next(s for s in starts if probs[s : s + TILE_AMPS].max() >= tied)
+    outcome = start + int((probs[start : start + TILE_AMPS] >= tied).argmax())
     return outcome, float(probs[outcome])
 
 
@@ -154,9 +159,9 @@ def concentration_sweep(n: int, grid_points: int) -> tuple[np.ndarray, np.ndarra
     """Inverse-transform concentration over the grid gamma = j / grid_points.
 
     Encodes every grid phase and runs each through the inverse transform
-    circuit (compiled once, then applied in place to chunks of
-    (1 << 14) >> n rows, about 256 KiB, which stay in cache through every
-    pass). The phasors come from one `qubit_phasors` call per group of whole
+    circuit (compiled once, then applied in place to chunks of the engine's
+    tile, TILE_AMPS >> n rows, which stay in cache through every pass). The
+    phasors come from one `qubit_phasors` call per group of whole
     chunks, and every chunk is encoded from them into the one buffer
     allocated up front. The transform leaves the rows in bit-reversed order,
     so each chunk's probabilities are gathered in natural order through
@@ -170,7 +175,7 @@ def concentration_sweep(n: int, grid_points: int) -> tuple[np.ndarray, np.ndarra
     schedule, order = compile_circuit(qft_circuit(n, inverse=True), tuple(range(n)))
     natural = memory_index(order)
     gammas = np.arange(grid_points) / grid_points
-    chunk = max(1, (1 << 14) >> n)
+    chunk = max(1, TILE_AMPS >> n)
     group = chunk * max(1, _GROUP_TURNS // (chunk * n))
     buffer = np.empty((min(chunk, grid_points), 1 << n), dtype=np.complex128)
     squares, probs = np.empty((2, *buffer.shape))

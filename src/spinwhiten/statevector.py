@@ -23,24 +23,23 @@ them:
   the same way);
 - the memory axes are cut into ceil(n / 6) near-equal windows of adjacent
   axes, and the gates inside one window become one dense 2**k unitary,
-  built from the exact per-gate matrices and applied by one stacked
-  `np.matmul` per 256 KiB tile of small GEMMs (general matrix multiplies);
+  built from the exact per-gate matrices;
 - controlled phases that cross windows, and windows without a Hadamard,
   become diagonal steps: one phase table per window or pair of windows that
   their gates name, so no table has more than 2**12 entries.
 
 A gate joins the latest step that can take it and that it commutes past, so
 the inverse transform on n qubits is ceil(n / 6) dense steps with a diagonal
-step between neighbours, the four-step FFT split. Each GEMM stays at or below
-2**15 multiply-adds: with OpenBLAS on one thread (see the package's
-__init__), larger GEMMs gain nothing, as the 20-qubit inverse transform took
-0.090 s at 2**15, 0.088 s at 2**16 and 0.095 s at 2**17. The dense steps round differently from a
-gate-by-gate sweep, at the level of 1e-16 per amplitude.
+step between neighbours, the four-step FFT split. A dense step views the
+block as (outer, 2**k, inner) and runs one `np.matmul` per tile of at most
+TILE_AMPS amplitudes (256 KiB): min(inner, TILE_AMPS / 2**k) columns,
+stacked over as many outer values as fit, row-major where inner = 1. On a
+2-vCPU AVX-512 Xeon the 20-qubit dense steps take 33 ms of CPU time (38 ms
+with each GEMM capped at 2**15 multiply-adds). They round differently from
+a gate-by-gate sweep, at the level of 1e-16 per amplitude.
 
-Readout restores natural order once. The map from natural to memory index
-moves each bit on its own, so it splits into two tables of at most
-2**ceil(n / 2) entries over the high and low halves of the index
-(`index_tables`); `probabilities`, `dense_matrix` and
+Readout restores natural order once, through two tables of at most
+2**ceil(n / 2) entries (`index_tables`); `probabilities`, `dense_matrix` and
 `qft.concentration_sweep` all gather through them.
 
 `probabilities` spends the register: it reads the register out inside the
@@ -176,8 +175,7 @@ def _check_live(state: StateVector) -> None:
 # pass over the amplitude block, in place.
 
 _WINDOW_QUBITS = 6  # a dense step acts on at most 6 adjacent memory axes
-_GEMM_MACS = 1 << 15  # multiply-adds per GEMM; larger ones measured no faster
-_SCRATCH_AMPS = 1 << 14  # 256 KiB: a dense step's output tile before copy-back
+TILE_AMPS = 1 << 14  # 256 KiB: the tile of the dense steps, the readout and the sweep
 
 
 def _window_sizes(n: int) -> list[int]:
@@ -198,32 +196,21 @@ class DenseStep:
         self.matrix.flags.writeable = False  # shared through the schedule cache
 
     def apply(self, block: np.ndarray) -> None:
-        # The window splits the flat index into (outer, window, inner). Each
-        # GEMM multiplies the matrix by `cols` columns, at most _GEMM_MACS
-        # multiply-adds, and one np.matmul call runs a stack of them into a
-        # scratch tile, which is then copied back.
-        scratch = np.empty(min(_SCRATCH_AMPS, block.size), dtype=np.complex128)
         size = self.matrix.shape[0]
         inner = block.shape[1] // (size << self.lo)
-        cols = _GEMM_MACS // (size * size)
-        if inner == 1:
-            # window at the low end: the columns are consecutive rows
-            rows = block.reshape(-1, size)
-            cols = min(cols, rows.shape[0] & -rows.shape[0])
-            stack = rows.reshape(-1, 1, cols, size).transpose(0, 1, 3, 2)
-        else:
-            cols = min(cols, inner)
-            stack = block.reshape(-1, size, inner // cols, cols).transpose(0, 2, 1, 3)
-        outer, across = stack.shape[:2]
-        per_gemm = size * cols
-        step_across = min(across, max(1, scratch.size // per_gemm))
-        step_outer = max(1, scratch.size // (per_gemm * across))
-        for i in range(0, outer, step_outer):
-            for j in range(0, across, step_across):
-                tiles = stack[i : i + step_outer, j : j + step_across]
-                out = scratch[: tiles.size].reshape(tiles.shape)
-                np.matmul(self.matrix, tiles, out=out)
-                tiles[...] = out
+        scratch = np.empty(min(TILE_AMPS, block.size), dtype=np.complex128)
+        cols = min(inner, scratch.size // size)
+        step = scratch.size // (size * cols)  # outer rows per tile
+        view = block.reshape(-1, size, inner)
+        for i in range(0, len(view), step):
+            for j in range(0, inner, cols):
+                tile = view[i : i + step, :, j : j + cols]
+                out = scratch[: tile.size].reshape(tile.shape)
+                if inner == 1:  # one GEMM over the rows, not `step` matrix-vector products
+                    np.matmul(tile[..., 0], self.matrix.T, out=out[..., 0])
+                else:
+                    np.matmul(self.matrix, tile, out=out)
+                tile[...] = out
 
 
 @dataclass(frozen=True)
@@ -427,8 +414,8 @@ def probabilities(state: StateVector) -> tuple[np.ndarray, np.ndarray]:
     they spend.
 
     The float64 view of the amplitudes has two halves of 2**n values. The
-    squares are written in memory order into the first half, 2**14 at a
-    time, each tile after its amplitudes are read; they are then gathered
+    squares are written in memory order into the first half, TILE_AMPS at
+    a time, each tile after its amplitudes are read; they are then gathered
     through `index_tables` into the second half, which is returned with the
     first half as scratch. No second state-size array is made.
     """
@@ -437,14 +424,14 @@ def probabilities(state: StateVector) -> tuple[np.ndarray, np.ndarray]:
     size = state.amps.size
     parts = state.amps.view(np.float64)  # re, im of amplitude i at 2i, 2i + 1
     squares, probs = parts.reshape(2, size)
-    width = min(_SCRATCH_AMPS, size)
+    width = min(TILE_AMPS, size)
     tile = np.empty(2 * width)
     for start in range(0, size, width):
         np.square(parts[2 * start : 2 * (start + width)], out=tile)
         # the tile's squares overwrite only amplitudes read by now
         np.add(tile[0::2], tile[1::2], out=squares[start : start + width])
     high, low = index_tables(state.order)
-    rows = max(1, _SCRATCH_AMPS // low.size)
+    rows = max(1, TILE_AMPS // low.size)
     for r in range(0, high.size, rows):
         index = (high[r : r + rows, np.newaxis] | low).ravel()
         # every index is in range; "wrap" gathers straight into probs

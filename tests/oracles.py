@@ -139,10 +139,11 @@ def apply_gates_by_index(circuit, amps: np.ndarray) -> np.ndarray:
     return out
 
 
-def phase_estimation_distribution(gamma: float, n: int) -> np.ndarray:
+def phase_estimation_distribution(gamma: float, n: int, outcomes=None) -> np.ndarray:
     """P(y) = sin^2(pi N delta) / (N^2 sin^2(pi delta)), delta = gamma - y/N,
     N = 2^n, and P = 1 where delta is an integer: the outcome distribution of
-    the inverse transform applied to the phase-encoded state of gamma.
+    the inverse transform applied to the phase-encoded state of gamma, at
+    every y in [0, N) or at the given outcomes.
 
     sin^2 has period pi, so the numerator is sin^2(pi frac(N gamma)) for
     every y, and delta is reduced to [-1/2, 1/2) before the denominator;
@@ -150,7 +151,8 @@ def phase_estimation_distribution(gamma: float, n: int) -> np.ndarray:
     """
     size = 1 << n
     scaled = gamma * size  # exact: N is a power of two
-    delta = (scaled - np.arange(size)) / size  # N delta is exact
+    outcomes = np.arange(size) if outcomes is None else np.asarray(outcomes)
+    delta = (scaled - outcomes) / size  # N delta is exact
     delta -= np.floor(delta + 0.5)
     numerator = math.sin(math.pi * (scaled - math.floor(scaled))) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):

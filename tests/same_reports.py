@@ -1,6 +1,6 @@
 """Compare what two source trees report, command by command.
 
-Usage: python tests/same_reports.py PARENT_SRC
+Usage: python tests/same_reports.py PARENT_SRC [--env KEY=VALUE ...]
 
 Runs each command of a fixed list through ``python -m spinwhiten`` once with
 this checkout's ``src`` on PYTHONPATH and once with PARENT_SRC (the ``src``
@@ -14,10 +14,17 @@ that hangs on set or dict order differs even between two copies of one tree. CI 
 against itself; a change meant to keep every report byte-identical also runs
 it by hand against its parent's ``src``. pytest does not collect it, and a
 change that moves digits on purpose fails the comparison with its parent.
+
+``--env KEY=VALUE`` (repeatable) sets a variable for the PARENT_SRC side
+only. CI also runs ``python tests/same_reports.py src --env
+OPENBLAS_NUM_THREADS=2``: `import spinwhiten` keeps a value the caller set,
+so that side runs its matrix products on two OpenBLAS threads, and a report
+whose digits depend on how OpenBLAS splits a product across threads differs.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import re
 import subprocess
@@ -61,10 +68,11 @@ COMMANDS = [
 _WALL_TIME = re.compile(rb"^(line \d+: \S+) \(\d+\.\d+s\)$", re.MULTILINE)
 
 
-def outcome(src: Path, args: list[str], hash_seed: int) -> dict[str, object]:
+def outcome(src: Path, args: list[str], hash_seed: int,
+            extra_env: dict[str, str]) -> dict[str, object]:
     """Exit code, output streams and written files of one command."""
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1",
-           "PYTHONHASHSEED": str(hash_seed)}
+           "PYTHONHASHSEED": str(hash_seed), **extra_env}
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in PROGRAMS.items():
             (Path(tmp) / name).write_text(text, encoding="utf-8")
@@ -77,15 +85,27 @@ def outcome(src: Path, args: list[str], hash_seed: int) -> dict[str, object]:
             "stderr": _WALL_TIME.sub(rb"\1", done.stderr), "files": files}
 
 
+def _assignment(text: str) -> tuple[str, str]:
+    key, sep, value = text.partition("=")
+    if not key or not sep:
+        raise argparse.ArgumentTypeError(f"expected KEY=VALUE, got {text!r}")
+    return key, value
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 2 or not (Path(argv[1]) / "spinwhiten").is_dir():
-        print("usage: python tests/same_reports.py PARENT_SRC "
-              "(a directory holding the spinwhiten package)", file=sys.stderr)
-        return 2
-    trees = (HERE.parent / "src", Path(argv[1]).resolve())
+    parser = argparse.ArgumentParser(prog="python tests/same_reports.py")
+    parser.add_argument("parent_src", metavar="PARENT_SRC", type=Path,
+                        help="a directory holding the spinwhiten package")
+    parser.add_argument("--env", type=_assignment, action="append", default=[],
+                        metavar="KEY=VALUE", help="set for the PARENT_SRC side only")
+    options = parser.parse_args(argv[1:])
+    if not (options.parent_src / "spinwhiten").is_dir():
+        parser.error(f"{options.parent_src} holds no spinwhiten package")
+    sides = ((HERE.parent / "src", {}), (options.parent_src.resolve(), dict(options.env)))
     failed = 0
     for args in COMMANDS:
-        ours, theirs = (outcome(src, args, seed) for seed, src in enumerate(trees, 1))
+        ours, theirs = (outcome(src, args, seed, env)
+                        for seed, (src, env) in enumerate(sides, 1))
         differ = [key for key in ours if ours[key] != theirs[key]]
         failed += bool(differ)
         command = " ".join(Path(arg).name if arg.endswith(".pp") else arg for arg in args)

@@ -390,6 +390,15 @@ class TestOwnUsageErrors:
                       "spinwhiten.conf": b"default_ensemble_size=10000000000000000000\n"},
                      "ensemble size 10000000000000000000 exceeds the limit of 4294967296",
                      id="ensemble-size-config"),
+        # the streams read a seed mod 2^64, so 2^64 would run as seed 0 and -1
+        # as 2^64 - 1; every route refuses them, as the DSL's seed= does
+        pytest.param(("run", "demo.pp", "--seed", str(1 << 64)), {"demo.pp": CANONICAL.encode()},
+                     "--seed must lie in [0, 2^64), got 18446744073709551616", id="run-seed"),
+        pytest.param(("cat", "--n-list", "1", "--seeds", "1", "--seed", "-1"), {},
+                     "--seed must lie in [0, 2^64), got -1", id="cat-seed"),
+        pytest.param(("run", "demo.pp"),
+                     {"demo.pp": CANONICAL.encode(), "spinwhiten.conf": b"master_seed=-1\n"},
+                     "master_seed must lie in [0, 2^64), got -1", id="master-seed-config"),
     ])
     def test_one_error_line(self, tmp_path, args, files, message):
         for name, content in files.items():

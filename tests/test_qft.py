@@ -17,6 +17,7 @@ from spinwhiten.qft import (
     qubit_phasors,
 )
 from spinwhiten.statevector import (
+    TILE_AMPS,
     GateKind,
     apply_circuit,
     dense_matrix,
@@ -214,11 +215,11 @@ class TestPeakReadout:
 class TestConcentrationSweep:
     @pytest.mark.parametrize("n", [1, 4, 8, 12])
     def test_matches_single_state_path(self, n):
-        # the phasors come a group of whole chunks of (1 << 14) >> n rows at a
+        # the phasors come a group of whole chunks of TILE_AMPS >> n rows at a
         # time, and every chunk is encoded into the one reused buffer: rows on
         # both sides of each chunk and group edge, and the last rows of a
         # partial chunk or group, must hold no stale values
-        chunk = (1 << 14) >> n
+        chunk = TILE_AMPS >> n
         group = chunk * max(1, qft._GROUP_TURNS // (chunk * n))
         for grid in (chunk - 1, group - 1, group, group + 1, 2 * group + 3):
             gammas, argmax, peaks = concentration_sweep(n, grid)
@@ -252,7 +253,7 @@ class TestConcentrationSweep:
             concentration_sweep(4, 1)
 
     def test_default_sweep_allocation_peak(self):
-        # chunks of (1 << 14) >> n rows hold about 256 KiB of amplitudes; the
+        # chunks of TILE_AMPS >> n rows hold about 256 KiB of amplitudes; the
         # phasors of a 4096-turn group add a few hundred KiB (1.20 MiB in all;
         # 8192-turn groups would read 1.67 MiB)
         tracemalloc.start()

@@ -473,12 +473,22 @@ class TestStateOracleAcrossWindowPairs:
         expected = apply_gates_by_index(circuit, state.amps)
         assert np.abs(natural_amps(apply_circuit(state, circuit)) - expected).max() <= 1e-12
 
-    @pytest.mark.parametrize("n", [13, 16])
-    def test_inverse_transform_matches_state_oracle(self, n):
+    @pytest.mark.parametrize("n,rows", [(13, 1), (16, 1), (16, 3)])
+    def test_inverse_transform_matches_state_oracle(self, n, rows):
+        # a block of rows runs the tile rule across rows: at n = 16 the first
+        # window's 64 x 1024 view splits into 256-column tiles, the middle
+        # one stacks 16 outer rows of 32 x 32 per tile, and the last runs
+        # row-major; each row must equal the same row run alone
         circuit = qft_circuit(n, inverse=True)
-        state = _random_state(n, seed=90 + n)
-        expected = apply_gates_by_index(circuit, state.amps)
-        assert np.abs(natural_amps(apply_circuit(state, circuit)) - expected).max() <= 1e-12
+        states = [_random_state(n, seed=90 + n + 1000 * r) for r in range(rows)]
+        block = np.array([state.amps for state in states])
+        schedule, order = compile_circuit(circuit, states[0].order)
+        schedule.apply(block)
+        for state, row in zip(states, block):
+            expected = apply_gates_by_index(circuit, state.amps)
+            alone = natural_amps(apply_circuit(state, circuit))
+            assert np.abs(alone - expected).max() <= 1e-12
+            assert np.abs(row[memory_index(order)] - alone).max() <= 1e-15
 
     @pytest.mark.parametrize("circuit", [
         *(qft_circuit(n, inverse=True) for n in (8, 13, 20, 22, 24)),
