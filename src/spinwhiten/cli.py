@@ -89,7 +89,8 @@ def load_config(path: Path | None) -> CliConfig:
         path = Path(CONFIG_NAME)
         if not path.is_file():
             return cfg
-    for raw in _read_text(path, "config file").splitlines():
+    # only \n ends a line (`read_text` turns \r\n and \r into it), not \f
+    for raw in _read_text(path, "config file").split("\n"):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -121,7 +121,7 @@ _KEYWORD = {cls: keyword for keyword, (cls, _) in GRAMMAR.items()}
 def parse(source_text: str, source_name: str = "<string>") -> PulseProgram:
     """Parse source into an AST by GRAMMAR; every statement keeps its 1-based
     line, and a PulseSyntaxError names `source_name` with the line and the
-    column of the offending token."""
+    column of the offending token. Only \\n, \\r\\n and \\r end a line."""
 
     def fail(column: int, message: str) -> NoReturn:
         raise PulseSyntaxError(line_no, column, message, source_name)
@@ -130,7 +130,7 @@ def parse(source_text: str, source_name: str = "<string>") -> PulseProgram:
         return text if len(text) <= _ECHO_CHARS else text[:_ECHO_CHARS] + "..."
 
     statements: list[Statement] = []
-    for line_no, line in enumerate(source_text.splitlines(), start=1):
+    for line_no, line in enumerate(re.split(r"\r\n?|\n", source_text), start=1):
         tokens = [(m.start() + 1, m.group())
                   for m in re.finditer(r"\S+", line.split("#", 1)[0])]
         if not tokens:

@@ -28,7 +28,7 @@ from .statevector import (
     GateOp,
     StateVector,
     compile_circuit,
-    memory_index,
+    probabilities,
 )
 
 
@@ -125,26 +125,31 @@ def phase_encode_block(phasors: np.ndarray, out: np.ndarray | None = None) -> np
 _TIE_RTOL = 1e-12
 
 
-def peak_readout(probs: np.ndarray) -> tuple[int, float]:
-    """Most likely outcome of a probability array and its probability; ties
-    go to the smaller index.
+def peak_readout(probs: np.ndarray) -> tuple[int, float] | tuple[np.ndarray, np.ndarray]:
+    """Most likely outcome of a probability distribution over the last axis
+    and its probability, as (int, float), or as arrays for rows of them.
 
-    Every outcome within 1e-12 of the largest probability, relative, counts
-    as tied, so rounding noise in the amplitudes cannot pick the winner of an
-    exact tie (a uniform distribution reads out index 0). The search reads
-    TILE_AMPS outcomes at a time, so it makes no mask of the whole array.
+    Every outcome within 1e-12 of its row's largest probability, relative,
+    counts as tied, and ties go to the smaller index, so rounding noise
+    cannot pick the winner of an exact tie (a uniform row reads out 0). The
+    search masks TILE_AMPS outcomes at a time: whole rows where they fit,
+    else one row tile by tile up to its first tied tile.
     """
-    tied = probs.max() * (1.0 - _TIE_RTOL)
-    starts = range(0, len(probs), TILE_AMPS)
-    start = next(s for s in starts if probs[s : s + TILE_AMPS].max() >= tied)
-    outcome = start + int((probs[start : start + TILE_AMPS] >= tied).argmax())
-    return outcome, float(probs[outcome])
-
-
-def _peak_indices(probs: np.ndarray) -> np.ndarray:
-    """`peak_readout`'s winner in every row: the first index tied with the maximum."""
-    top = probs.max(axis=-1, keepdims=True)
-    return (probs >= top * (1.0 - _TIE_RTOL)).argmax(axis=-1)
+    rows = probs.reshape(-1, probs.shape[-1])
+    tied = rows.max(axis=1, keepdims=True) * (1.0 - _TIE_RTOL)
+    cols = min(rows.shape[1], TILE_AMPS)
+    stack = TILE_AMPS // cols
+    outcome = np.empty(len(rows), dtype=np.int64)
+    for r in range(0, len(rows), stack):
+        for start in range(0, rows.shape[1], cols):
+            hit = rows[r : r + stack, start : start + cols] >= tied[r : r + stack]
+            if start + cols >= rows.shape[1] or hit.any():  # the first tied tile, or the last
+                outcome[r : r + stack] = start + hit.argmax(axis=1)
+                break
+    peak = rows[np.arange(len(rows)), outcome]
+    if probs.ndim == 1:
+        return int(outcome[0]), float(peak[0])
+    return outcome, peak
 
 
 # Turns per `qubit_phasors` call in `concentration_sweep`, which takes the
@@ -163,22 +168,19 @@ def concentration_sweep(n: int, grid_points: int) -> tuple[np.ndarray, np.ndarra
     tile, TILE_AMPS >> n rows, which stay in cache through every pass). The
     phasors come from one `qubit_phasors` call per group of whole
     chunks, and every chunk is encoded from them into the one buffer
-    allocated up front. The transform leaves the rows in bit-reversed order,
-    so each chunk's probabilities are gathered in natural order through
-    `memory_index`, into float64 buffers also allocated once. Returns
-    (gammas, argmax indices, peak probabilities), each row read as by
-    `peak_readout`. This is the empirical probe of how sharply a randomized
+    allocated up front. Each chunk is read out as a batch register, through
+    `probabilities` inside that buffer and `peak_readout`, as `execute`
+    reads out one register. Returns (gammas, argmax indices, peak
+    probabilities). This is the empirical probe of how sharply a randomized
     phase concentrates onto one basis state.
     """
     if grid_points < 2:
         raise OutOfRange(f"grid must have at least 2 points, got {grid_points}")
     schedule, order = compile_circuit(qft_circuit(n, inverse=True), tuple(range(n)))
-    natural = memory_index(order)
     gammas = np.arange(grid_points) / grid_points
     chunk = max(1, TILE_AMPS >> n)
     group = chunk * max(1, _GROUP_TURNS // (chunk * n))
     buffer = np.empty((min(chunk, grid_points), 1 << n), dtype=np.complex128)
-    squares, probs = np.empty((2, *buffer.shape))
     argmax = np.empty(grid_points, dtype=np.int64)
     peaks = np.empty(grid_points, dtype=np.float64)
     for start in range(0, grid_points, chunk):
@@ -188,14 +190,6 @@ def concentration_sweep(n: int, grid_points: int) -> tuple[np.ndarray, np.ndarra
         rows = len(part)
         block = phase_encode_block(part, buffer[:rows])
         schedule.apply(block)
-        square, prob = squares[:rows], probs[:rows]
-        np.multiply(block.real, block.real, out=square)
-        np.multiply(block.imag, block.imag, out=prob)
-        square += prob
-        # every index is in range; "wrap" gathers straight into prob, where
-        # the default "raise" would gather into a temporary first
-        np.take(square, natural, axis=1, out=prob, mode="wrap")
-        winners = _peak_indices(prob)
-        argmax[start : start + rows] = winners
-        peaks[start : start + rows] = prob[np.arange(rows), winners]
+        probs = probabilities(StateVector(n, block, order))[0]
+        argmax[start : start + rows], peaks[start : start + rows] = peak_readout(probs)
     return gammas, argmax, peaks

@@ -38,14 +38,15 @@ stacked over as many outer values as fit, row-major where inner = 1. On a
 with each GEMM capped at 2**15 multiply-adds). They round differently from
 a gate-by-gate sweep, at the level of 1e-16 per amplitude.
 
-Readout restores natural order once, through two tables of at most
-2**ceil(n / 2) entries (`index_tables`); `probabilities`, `dense_matrix` and
-`qft.concentration_sweep` all gather through them.
+Readout restores natural order once, through two cached tables of at most
+2**ceil(n / 2) entries (`index_tables`) that `probabilities` and
+`dense_matrix` read. A register may hold a batch, C-contiguous rows
+(rows, 2**n) in one order, as `qft.concentration_sweep` runs them.
 
-`probabilities` spends the register: it reads the register out inside the
-amplitude buffer, whose 2**(n+1) float64 halves hold the squares in memory
-order and then the probabilities in natural order, and hands the caller the
-first half as scratch. A spent register raises when it is read again, so a
+`probabilities` spends the register: it reads every row out inside the
+amplitude buffer, whose two float64 halves hold the squares in memory order
+and then the probabilities in natural order, and hands the caller the first
+half as scratch. A spent register raises when it is read again, so a
 caller that reads the state after its readout copies it first.
 """
 
@@ -144,13 +145,13 @@ class Circuit:
 
 @dataclass
 class StateVector:
-    """Pure state of an n-qubit register, changed in place.
+    """Pure state of an n-qubit register, or a batch of them, changed in place.
 
-    Memory axis p of `amps` holds qubit order[p]; the default order is the
-    identity, natural order. `apply_circuit` rewrites `amps` and `order` of
-    the register it is given, so a caller that needs the input state again
-    copies it first. `probabilities` spends it: its buffer no longer holds
-    amplitudes, and reading it again raises.
+    `amps` holds 2**n amplitudes, or one state per C-contiguous row (rows,
+    2**n); memory axis p of each holds qubit order[p], by default natural
+    order. `apply_circuit` rewrites `amps` and `order` of the register it is
+    given, so a caller that needs the input state again copies it first.
+    `probabilities` spends it, and reading it again raises.
     """
 
     num_qubits: int
@@ -366,12 +367,13 @@ def compile_circuit(
     return Schedule(tuple(steps)), tuple(sorted(range(n), key=where.__getitem__))
 
 
+@functools.lru_cache(maxsize=8)
 def index_tables(order: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Tables (high, low) that find natural index x in a register whose memory
     axis p holds qubit order[p]: x sits at memory index
     high[x >> k] | low[x & (2**k - 1)], with 2**k = len(low), k = ceil(n / 2).
     The map moves each bit of x on its own, so it splits over the two halves.
-    """
+    The last 8 orders' tables are cached, read-only."""
     n = len(order)
     weight = 1 << (n - 1 - np.argsort(order))  # memory-index bit of each qubit
     k = (n + 1) // 2
@@ -381,7 +383,9 @@ def index_tables(order: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
                 >> np.arange(len(weights) - 1, -1, -1)) & 1
         return bits @ weights
 
-    return table(weight[: n - k]), table(weight[n - k :])
+    high, low = table(weight[: n - k]), table(weight[n - k :])
+    high.flags.writeable = low.flags.writeable = False
+    return high, low
 
 
 def memory_index(order: tuple[int, ...]) -> np.ndarray:
@@ -394,15 +398,15 @@ def memory_index(order: tuple[int, ...]) -> np.ndarray:
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     """Apply a circuit's gates in list order to the register, in place, and
-    return it: the steps rewrite `state.amps`, and the swaps only its
-    order."""
+    return it: the steps rewrite `state.amps`, every row of a batch alike,
+    and the swaps only its order."""
     if circuit.num_qubits != state.num_qubits:
         raise OutOfRange(
             f"circuit has {circuit.num_qubits} qubits, state has {state.num_qubits}"
         )
     _check_live(state)
     schedule, order = compile_circuit(circuit, state.order)
-    schedule.apply(state.amps[np.newaxis, :])
+    schedule.apply(state.amps.reshape(-1, 1 << state.num_qubits))
     state.order = order
     return state
 
@@ -410,33 +414,39 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
 def probabilities(state: StateVector) -> tuple[np.ndarray, np.ndarray]:
     """Born-rule outcome distribution |amp_x|^2 over all 2**n basis states,
     in natural order whatever the register's order, and a float64 scratch
-    array of the same length; both live in the register's buffer, which
-    they spend.
+    array, both shaped like `state.amps` (one distribution per row of a
+    batch); both live in the register's buffer, which they spend.
 
-    The float64 view of the amplitudes has two halves of 2**n values. The
-    squares are written in memory order into the first half, TILE_AMPS at
-    a time, each tile after its amplitudes are read; they are then gathered
-    through `index_tables` into the second half, which is returned with the
+    The float64 view of the amplitudes has two halves of rows * 2**n values.
+    The squares are written in memory order into the first half, TILE_AMPS
+    at a time, each tile after its amplitudes are read; they are then
+    gathered through `index_tables` into the second half, TILE_AMPS outputs
+    per `np.take` (whole rows where they fit), which is returned with the
     first half as scratch. No second state-size array is made.
     """
     _check_live(state)
     state.spent = True
     size = state.amps.size
-    parts = state.amps.view(np.float64)  # re, im of amplitude i at 2i, 2i + 1
+    parts = state.amps.reshape(-1).view(np.float64)  # re, im of amplitude i at 2i, 2i + 1
     squares, probs = parts.reshape(2, size)
     width = min(TILE_AMPS, size)
     tile = np.empty(2 * width)
     for start in range(0, size, width):
-        np.square(parts[2 * start : 2 * (start + width)], out=tile)
+        pairs = parts[2 * start : 2 * (start + width)]  # a batch may end in a partial tile
+        square = np.square(pairs, out=tile[: pairs.size])
         # the tile's squares overwrite only amplitudes read by now
-        np.add(tile[0::2], tile[1::2], out=squares[start : start + width])
+        np.add(square[0::2], square[1::2], out=squares[start : start + width])
     high, low = index_tables(state.order)
-    rows = max(1, TILE_AMPS // low.size)
-    for r in range(0, high.size, rows):
-        index = (high[r : r + rows, np.newaxis] | low).ravel()
-        # every index is in range; "wrap" gathers straight into probs
-        np.take(squares, index, out=probs[r * low.size : r * low.size + index.size], mode="wrap")
-    return probs, squares
+    squares, probs = (half.reshape(-1, 1 << state.num_qubits) for half in (squares, probs))
+    cols = max(1, TILE_AMPS // low.size)  # entries of `high` per tile
+    stack = max(1, TILE_AMPS >> state.num_qubits)  # whole rows per tile
+    for c in range(0, high.size, cols):
+        index = (high[c : c + cols, np.newaxis] | low).ravel()
+        for r in range(0, len(probs), stack):
+            # every index is in range; "wrap" gathers straight into probs
+            np.take(squares[r : r + stack], index, axis=1, mode="wrap",
+                    out=probs[r : r + stack, c * low.size : c * low.size + index.size])
+    return probs.reshape(state.amps.shape), squares.reshape(state.amps.shape)
 
 
 def dense_matrix(circuit: Circuit) -> np.ndarray:

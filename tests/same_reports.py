@@ -59,6 +59,7 @@ COMMANDS = [
     ["peak-sweep"],
     ["peak-sweep", "--qubits", "4", "--grid", "32"],
     ["peak-sweep", "--qubits", "12", "--grid", "1000"],  # chunks of 4 rows
+    ["peak-sweep", "--qubits", "12", "--grid", "4099"],  # ends in 3 rows of a 4-row chunk
     ["peak-sweep", "--qubits", "1", "--grid", "3"],  # one partial chunk
     ["budget"],
     ["qft-verify"],

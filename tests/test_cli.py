@@ -88,6 +88,15 @@ class TestRun:
         assert result.returncode == 2
         assert "line 2" in result.stderr
 
+    def test_comment_text_after_a_form_feed_stays_comment(self, tmp_path):
+        # only \n, \r\n and \r end a line: a form feed or U+2028 inside a
+        # comment neither runs its tail as code nor shifts the line numbers
+        (tmp_path / "p.pp").write_text("pulse90 t # tab\fform feed\nwhiten t # x\u2028y\n"
+                                       "relax t\n", encoding="utf-8")
+        result = run_cli("run", "p.pp", cwd=tmp_path)
+        assert result.returncode == 2
+        assert "p.pp:line 3, column 1: unknown keyword 'relax'" in result.stderr
+
     def test_protocol_error_exit_code(self, tmp_path):
         (tmp_path / "order.pp").write_text("whiten t\n")
         result = run_cli("run", "order.pp", cwd=tmp_path)
@@ -306,6 +315,14 @@ class TestConfigFile:
                          cwd=tmp_path)
         assert result.returncode == 0, result.stderr
         assert json.loads((tmp_path / "r.json").read_text())["master_seed"] == 5
+
+    def test_form_feed_in_a_comment_stays_comment(self, tmp_path):
+        (tmp_path / "spinwhiten.conf").write_text("master_seed = 3 # note\f more\n")
+        (tmp_path / "demo.pp").write_text(CANONICAL)
+        result = run_cli("run", "demo.pp", "--ensemble-size", "10", "--out", "r.json",
+                         cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert json.loads((tmp_path / "r.json").read_text())["master_seed"] == 3
 
     def test_unknown_key_rejected(self, tmp_path):
         (tmp_path / "spinwhiten.conf").write_text("volume=11\n")

@@ -66,6 +66,17 @@ class TestParse:
         assert program.statements == (Pulse90("t"),)
         assert program.statements[0].line_no == 4
 
+    @pytest.mark.parametrize("separator", list("\v\f\x1c\x1d\x1e\x85\u2028\u2029"),
+                             ids=lambda c: f"U+{ord(c):04X}")
+    def test_lines_end_only_at_newlines(self, separator):
+        # str.splitlines also breaks at these; inside a comment they are text
+        program = parse(f"pulse90 t # x{separator}y\nwhiten t # x{separator}y\r\n"
+                        "encode r 4\riqft r\n")
+        assert [s.line_no for s in program.statements] == [1, 2, 3, 4]
+        with pytest.raises(PulseSyntaxError) as info:
+            parse(f"pulse90 t # x{separator}y\nrelax t")
+        assert (info.value.line, info.value.column) == (2, 1)
+
     def test_whiten_without_seed(self):
         assert parse("whiten t").statements == (Whiten("t", None),)
 

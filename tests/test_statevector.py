@@ -13,13 +13,16 @@ from hypothesis import given, settings, strategies as st
 from spinwhiten import errors, statevector
 from spinwhiten.qft import phase_encode, qft_circuit
 from spinwhiten.statevector import (
+    TILE_AMPS,
     Circuit,
     DenseStep,
     DiagonalStep,
     GateOp,
+    StateVector,
     apply_circuit,
     compile_circuit,
     dense_matrix,
+    index_tables,
     memory_index,
     probabilities,
 )
@@ -185,15 +188,37 @@ class TestProbabilities:
         with pytest.raises(errors.OutOfRange, match="spent"):
             apply_circuit(state, Circuit(4, (GateOp.hadamard(0),)))
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 15])
-    def test_reads_natural_order_from_any_record(self, n):
-        # the index tables against a transpose of the memory axes; at n = 15
-        # the gather runs over several tiles
-        state = _random_state(n, seed=20 + n)
-        state.order = tuple(int(q) for q in np.random.default_rng(n).permutation(n))
-        natural = natural_amps(state)
-        assert np.array_equal(state.amps[memory_index(state.order)], natural)
-        assert np.array_equal(probabilities(state)[0], natural.real ** 2 + natural.imag ** 2)
+    @pytest.mark.parametrize("n,rows", [
+        *(pytest.param(n, 1, id=str(n)) for n in (1, 2, 7, 15)),
+        # many rows per tile, the last stack partial
+        pytest.param(3, 2 * (TILE_AMPS >> 3) + 3, id="3-batch"),
+        pytest.param(13, 5, id="13-batch"),  # two rows per tile
+        pytest.param(15, 3, id="15-batch"),  # two tiles per row
+    ])
+    def test_reads_natural_order_from_any_record(self, n, rows):
+        # the index tables against a transpose of the memory axes, for one
+        # register and for a batch of them in one order; each row of a batch
+        # reads out bit for bit as the same row alone
+        generator = np.random.default_rng(20 + n)
+        order = tuple(int(q) for q in generator.permutation(n))
+        amps = np.array([_random_state(n, seed=20 + n + 1000 * r).amps for r in range(rows)])
+        naturals = [natural_amps(StateVector(n, row, order)) for row in amps]
+        assert np.array_equal(amps[0][memory_index(order)], naturals[0])
+        alone = [probabilities(StateVector(n, row.copy(), order))[0] for row in amps]
+        state = StateVector(n, amps if rows > 1 else amps[0], order)
+        probs, scratch = probabilities(state)
+        assert probs.shape == scratch.shape == state.amps.shape
+        assert np.shares_memory(probs, state.amps) and np.shares_memory(scratch, state.amps)
+        for row, single, natural in zip(probs.reshape(rows, -1), alone, naturals):
+            assert np.array_equal(row, single)
+            assert np.array_equal(row, natural.real ** 2 + natural.imag ** 2)
+
+    def test_index_tables_are_cached_read_only(self):
+        order = (2, 0, 1)
+        assert index_tables(order) is index_tables(order)
+        for table in index_tables(order):
+            with pytest.raises(ValueError):
+                table[0] = 1
 
 
 class TestDenseMatrix:
@@ -475,20 +500,20 @@ class TestStateOracleAcrossWindowPairs:
 
     @pytest.mark.parametrize("n,rows", [(13, 1), (16, 1), (16, 3)])
     def test_inverse_transform_matches_state_oracle(self, n, rows):
-        # a block of rows runs the tile rule across rows: at n = 16 the first
-        # window's 64 x 1024 view splits into 256-column tiles, the middle
-        # one stacks 16 outer rows of 32 x 32 per tile, and the last runs
-        # row-major; each row must equal the same row run alone
+        # a batch register runs the tile rule across rows: at n = 16 the
+        # first window's 64 x 1024 view splits into 256-column tiles, the
+        # middle one stacks 16 outer rows of 32 x 32 per tile, and the last
+        # runs row-major; each row must equal the same row run alone
         circuit = qft_circuit(n, inverse=True)
         states = [_random_state(n, seed=90 + n + 1000 * r) for r in range(rows)]
-        block = np.array([state.amps for state in states])
-        schedule, order = compile_circuit(circuit, states[0].order)
-        schedule.apply(block)
-        for state, row in zip(states, block):
+        batch = apply_circuit(StateVector(n, np.array([state.amps for state in states])),
+                              circuit)
+        assert batch.order == compile_circuit(circuit, states[0].order)[1]
+        for state, row in zip(states, batch.amps):
             expected = apply_gates_by_index(circuit, state.amps)
             alone = natural_amps(apply_circuit(state, circuit))
             assert np.abs(alone - expected).max() <= 1e-12
-            assert np.abs(row[memory_index(order)] - alone).max() <= 1e-15
+            assert np.abs(row[memory_index(batch.order)] - alone).max() <= 1e-15
 
     @pytest.mark.parametrize("circuit", [
         *(qft_circuit(n, inverse=True) for n in (8, 13, 20, 22, 24)),
